@@ -1,6 +1,6 @@
 //! Live traffic against the running service: the open-loop read generator,
-//! the publisher beside it, the closed-loop saturation phase and the
-//! quiescent publish probe.
+//! the publisher beside it, the closed-loop saturation phase and the probe
+//! publishes of read-only workloads.
 //!
 //! The open loop runs on the calling thread: it sends each read at its
 //! scheduled time with `try_submit` (a full queue is a refusal, never a
