@@ -3,6 +3,7 @@
 //! ```text
 //! servebench --workload <hot-read|cold-read|read-publish|all> --seed <n> --seconds <s> --trace <0|1>
 //! servebench --workload <name> --sweep [--rates r1,r2,...] --seed <n> --seconds <s>
+//! servebench --workload <name> --setup-only
 //! ```
 //!
 //! `--trace 0` measures the end-to-end metrics, `--trace 1` the per-layer
@@ -11,9 +12,12 @@
 //! or the run cannot support its percentiles. `--workload all` runs each
 //! workload in a process of its own and prints every report. `--sweep`
 //! runs one workload over a ladder of offered rates and prints the knee.
+//! `--setup-only` sets the workload up once and prints the seconds it took;
+//! the untraced run times its set-ups this way, in processes of their own.
 //! See `GLOSSARY.md` for every metric and workload.
 
 mod check;
+mod host;
 mod live;
 mod obs;
 mod run;
@@ -24,7 +28,7 @@ mod workload;
 
 use std::process::{Command, ExitCode};
 
-use workload::{workload, WORKLOADS};
+use workload::{configs_of, key_set, workload, WORKLOADS};
 
 /// Further attempts after an invalid one.
 const MAX_RETRIES: usize = 1;
@@ -35,6 +39,7 @@ struct Args {
     seconds: f64,
     trace: bool,
     sweep: bool,
+    setup_only: bool,
     rates: Option<Vec<f64>>,
 }
 
@@ -45,12 +50,17 @@ fn parse_args() -> Result<Args, String> {
         seconds: 20.0,
         trace: false,
         sweep: false,
+        setup_only: false,
         rates: None,
     };
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
         if flag == "--sweep" {
             args.sweep = true;
+            continue;
+        }
+        if flag == setup::SETUP_ONLY_FLAG {
+            args.setup_only = true;
             continue;
         }
         let value = it
@@ -154,6 +164,20 @@ fn main() -> ExitCode {
         );
         return ExitCode::from(2);
     };
+    if args.setup_only {
+        return match setup::setup(&w, &configs_of(&key_set(&w))) {
+            Ok(served) => {
+                // lint: allow(no-println, benchmark binary output)
+                println!("{}", served.times.total_s);
+                ExitCode::SUCCESS
+            }
+            Err(message) => {
+                // lint: allow(no-println, benchmark binary output)
+                eprintln!("error: {message}");
+                ExitCode::FAILURE
+            }
+        };
+    }
     if args.sweep {
         let rates = args.rates.clone().unwrap_or_else(|| {
             [0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0, 8.0]

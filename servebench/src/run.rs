@@ -9,11 +9,12 @@ use std::time::Duration;
 use preview_service::{CacheStats, PreviewRequest, PreviewService, ScoringKey};
 
 use crate::check::{verify, AnswerLog, CheckReport};
+use crate::host::{Probe, REFERENCE_PROBE_US};
 use crate::live::{
     is_refusal, open_loop, publish_probe, saturation, PublishOutcome, PublishPlan, ReadOutcome,
 };
 use crate::obs::{self, Outside};
-use crate::setup::{generate_graph, setup, Served};
+use crate::setup::{generate_graph, setup, setup_in_child};
 use crate::stats::{mean, median, quantile, sorted, supported_quantile};
 use crate::trace::{self, SpanStats, ALGO_SPANS};
 use crate::workload::{
@@ -21,8 +22,8 @@ use crate::workload::{
     SATURATION_WINDOW,
 };
 
-/// Set-ups per untraced run; `setup_s` is their median.
-const SETUP_REPS: usize = 7;
+/// Host-speed probes at the end of each round.
+const PROBES_PER_ROUND: usize = 16;
 
 /// The end-to-end metrics, in `BENCHMARK.json` order.
 pub const END_TO_END: [(&str, &str); 8] = [
@@ -220,56 +221,38 @@ fn read_stats(reads: &[ReadOutcome], limit_us: f64) -> ReadStats {
 /// `min(10, reads / READS_PER_WINDOW)` windows of equal scheduled time.
 const READS_PER_WINDOW: usize = 1500;
 
-/// One window of equal scheduled time of the open-loop phase.
-#[derive(Debug)]
-struct Window {
-    /// Latency of the answered reads, sorted, microseconds.
-    latency_us: Vec<f64>,
-    /// How late the generator sent, p99, microseconds.
-    send_lag_p99_us: f64,
-    /// Reads answered OK within the latency limit.
-    within_limit: usize,
-    /// Reads sent.
-    attempted: usize,
-}
-
-/// Splits the open-loop reads into windows of equal scheduled time.
-fn windows(reads: &[ReadOutcome], seconds: f64, limit_us: f64) -> Vec<Window> {
+/// Latencies of the answered reads in each window of equal scheduled time
+/// of the open-loop phase, sorted, microseconds.
+fn windows(reads: &[ReadOutcome], seconds: f64) -> Vec<Vec<f64>> {
     let count = (reads.len() / READS_PER_WINDOW).clamp(1, 10);
     let mut latency = vec![Vec::new(); count];
-    let mut lag = vec![Vec::new(); count];
-    let mut within = vec![0; count];
     for read in reads {
         let w = ((read.scheduled.as_secs_f64() / seconds * count as f64) as usize).min(count - 1);
-        lag[w].push(us(read.send_lag()));
         if read.reply.is_ok() {
-            let l = us(read.latency());
-            within[w] += usize::from(l <= limit_us);
-            latency[w].push(l);
+            latency[w].push(us(read.latency()));
         }
     }
-    latency
-        .into_iter()
-        .zip(lag)
-        .zip(within)
-        .map(|((latency, lag), within_limit)| Window {
-            latency_us: sorted(latency),
-            send_lag_p99_us: quantile(&sorted(lag.clone()), 0.99),
-            within_limit,
-            attempted: lag.len(),
-        })
-        .collect()
+    latency.into_iter().map(sorted).collect()
 }
 
 /// Median over `windows` of each window's quantile `q` of latency, so a
 /// brief stall of the host moves one window rather than the result. `None`
 /// when a window leaves fewer than ten samples beyond its quantile.
-fn windowed_quantile(windows: &[&Window], q: f64) -> Option<f64> {
+fn windowed_quantile(windows: &[Vec<f64>], q: f64) -> Option<f64> {
     let per_window = windows
         .iter()
-        .map(|w| supported_quantile(&w.latency_us, q))
+        .map(|w| supported_quantile(w, q))
         .collect::<Option<Vec<f64>>>()?;
     (!per_window.is_empty()).then(|| median(&per_window))
+}
+
+/// Why an open-loop phase is no measurement, if its generator sent late: a
+/// p99 send lag above [`MAX_SEND_LAG_FRACTION`] of the latency limit means
+/// the phase measured the host rather than the service.
+fn lag_check(stats: &ReadStats, workload: &Workload) -> Option<String> {
+    let limit = MAX_SEND_LAG_FRACTION * workload.latency_limit_us;
+    let lag = quantile(&stats.send_lag_us, 0.99);
+    (lag > limit).then(|| format!("generator send lag p99 {lag:.1} us above {limit:.1} us"))
 }
 
 fn publish_plan<'a>(
@@ -343,12 +326,18 @@ struct Rounds {
     publishes: Vec<PublishOutcome>,
     /// Completion rate of every saturation window.
     saturation_rates: Vec<f64>,
+    /// Seconds of each set-up timed in a process of its own, one per round.
+    setup_s: Vec<f64>,
+    /// Every host-speed probe, microseconds.
+    probe_us: Vec<f64>,
 }
 
 /// Runs the measured phases in [`ROUNDS`] interleaved rounds: each round
 /// sends its share of the open-loop schedule (with the publisher beside it
 /// on read-publish), then a share of the closed-loop saturation phase, then
-/// (on a read-only workload) a share of the probe publishes.
+/// (on a read-only workload) a share of the probe publishes, then probes the
+/// host's speed while the service is idle, and last times one set-up in a
+/// process of its own.
 fn run_rounds(
     workload: &Workload,
     inputs: &Inputs,
@@ -357,6 +346,7 @@ fn run_rounds(
     log: &mut AnswerLog,
 ) -> Result<Rounds, String> {
     let mut stream = inputs.update_stream();
+    let probe = Probe::new();
     let mut out = Rounds::default();
     let mut cursor = 0usize;
     let round_ns = seconds * 1e9 / ROUNDS as f64;
@@ -400,6 +390,9 @@ fn run_rounds(
             out.publishes
                 .extend(publish_probe(service, PROBE_GRAPH, &mut stream, due));
         }
+        out.probe_us
+            .extend((0..PROBES_PER_ROUND).map(|_| probe.probe_us()));
+        out.setup_s.push(setup_in_child(workload)?);
     }
     Ok(out)
 }
@@ -407,16 +400,7 @@ fn run_rounds(
 /// The untraced run: end-to-end metrics.
 pub fn untraced(workload: &Workload, seed: u64, seconds: f64) -> Result<Outcome, String> {
     let inputs = Inputs::generate(workload, seed, seconds);
-    let mut setup_s = Vec::with_capacity(SETUP_REPS);
-    let mut last: Option<Served> = None;
-    for _ in 0..SETUP_REPS {
-        // Tear the previous set-up down first, so set-ups never overlap.
-        drop(last.take());
-        let served = setup(workload, &inputs.configs)?;
-        setup_s.push(served.times.total_s);
-        last = Some(served);
-    }
-    let served = last.expect("at least one set-up");
+    let served = setup(workload, &inputs.configs)?;
     let service = &served.service;
     let mut log = AnswerLog::default();
     let rounds = run_rounds(workload, &inputs, seconds, service, &mut log)?;
@@ -440,22 +424,8 @@ pub fn untraced(workload: &Workload, seed: u64, seconds: f64) -> Result<Outcome,
         failures: check.failures.clone(),
         ..Outcome::default()
     };
-    // Windows in which the generator itself fell behind measure the host,
-    // not the service: they are left out, and a run with too few left is
-    // invalid.
-    let lag_limit = MAX_SEND_LAG_FRACTION * workload.latency_limit_us;
-    let all_windows = windows(&rounds.reads, seconds, workload.latency_limit_us);
-    let valid: Vec<&Window> = all_windows
-        .iter()
-        .filter(|w| w.send_lag_p99_us <= lag_limit)
-        .collect();
-    if valid.len() * 2 < all_windows.len() {
-        out.invalid.push(format!(
-            "generator send lag p99 above {lag_limit:.1} us in {} of {} windows",
-            all_windows.len() - valid.len(),
-            all_windows.len()
-        ));
-    }
+    out.invalid.extend(lag_check(&stats, workload));
+    let windows = windows(&rounds.reads, seconds);
     let publish_us = sorted(publishes.iter().map(|p| us(p.duration)).collect());
     let mut supported = |name: &'static str, value: Option<f64>, what: &str| match value {
         Some(v) => {
@@ -465,8 +435,8 @@ pub fn untraced(workload: &Workload, seed: u64, seconds: f64) -> Result<Outcome,
             .invalid
             .push(format!("too few {what} samples to leave ten beyond {name}")),
     };
-    supported("read_p50_us", windowed_quantile(&valid, 0.5), "read");
-    supported("read_p99_us", windowed_quantile(&valid, 0.99), "read");
+    supported("read_p50_us", windowed_quantile(&windows, 0.5), "read");
+    supported("read_p99_us", windowed_quantile(&windows, 0.99), "read");
     supported(
         "publish_p50_us",
         supported_quantile(&publish_us, 0.5),
@@ -477,15 +447,28 @@ pub fn untraced(workload: &Workload, seed: u64, seconds: f64) -> Result<Outcome,
         supported_quantile(&publish_us, 0.95),
         "publish",
     );
+    let setup_s = sorted(rounds.setup_s);
     out.values.insert("setup_s", median(&setup_s));
     out.values.insert(
         "read_slo_frac",
-        valid.iter().map(|w| w.within_limit).sum::<usize>() as f64
-            / valid.iter().map(|w| w.attempted).sum::<usize>().max(1) as f64,
+        stats.within_limit as f64 / stats.attempted.max(1) as f64,
     );
     out.values
         .insert("saturation_rps", median(&rounds.saturation_rates));
     out.values.insert("peak_rss_mb", peak_rss_mb);
+    // Scale every time to the reference host speed (see `host`).
+    let raw = out.values.clone();
+    let probe_us = median(&rounds.probe_us);
+    let speed = REFERENCE_PROBE_US / probe_us;
+    for (name, value) in out.values.iter_mut() {
+        match *name {
+            "setup_s" | "read_p50_us" | "read_p99_us" | "publish_p50_us" | "publish_p95_us" => {
+                *value *= speed;
+            }
+            "saturation_rps" => *value /= speed,
+            _ => {}
+        }
+    }
 
     let lag_p99 = quantile(&stats.send_lag_us, 0.99);
     let error_rate = out.failed as f64 / out.attempted.max(1) as f64;
@@ -498,13 +481,28 @@ pub fn untraced(workload: &Workload, seed: u64, seconds: f64) -> Result<Outcome,
         workload.latency_limit_us
     );
     text += &metric_lines(&out.values, &END_TO_END);
-    let _ = writeln!(text, "  {:<36} {error_rate:>16.4} ratio", "error_rate");
-    let _ = writeln!(text, "  {:<36} {lag_p99:>16.4} us", "gen.send_lag_p99_us");
     let _ = writeln!(
         text,
-        "  latency windows used: {} of {} (generator lag p99 at most {lag_limit} us)",
-        valid.len(),
-        all_windows.len()
+        "  host probe median {probe_us:.1} us over {} probes (reference {REFERENCE_PROBE_US} us); \
+         times above are scaled by {speed:.4}, as measured:",
+        rounds.probe_us.len()
+    );
+    text += &metric_lines(&raw, &END_TO_END);
+    let _ = writeln!(text, "  {:<36} {error_rate:>16.4} ratio", "error_rate");
+    let _ = writeln!(
+        text,
+        "  {:<36} {lag_p99:>16.4} us (valid up to {} us)",
+        "gen.send_lag_p99_us",
+        MAX_SEND_LAG_FRACTION * workload.latency_limit_us
+    );
+    let _ = writeln!(
+        text,
+        "  {} set-ups, s: min {:.4} median {:.4} max {:.4}; {} latency windows",
+        setup_s.len(),
+        setup_s[0],
+        median(&setup_s),
+        setup_s[setup_s.len() - 1],
+        windows.len()
     );
     text += &check_line(&check);
     out.text = text;
@@ -650,6 +648,7 @@ pub fn traced(workload: &Workload, seed: u64, seconds: f64) -> Result<Outcome, S
         failures: check.failures.clone(),
         ..Outcome::default()
     };
+    out.invalid.extend(lag_check(&a, workload));
     let v = &mut out.values;
     v.insert("engine.queue_wait_p50_us", quantile(&a.queue_wait_us, 0.5));
     v.insert("engine.queue_wait_p99_us", quantile(&a.queue_wait_us, 0.99));
@@ -844,8 +843,25 @@ pub fn traced(workload: &Workload, seed: u64, seconds: f64) -> Result<Outcome, S
         quantile(&a.latency_us, 0.5)
     );
     text += &obs::table(&rows);
-    text += &emphasis(workload, &out.values, &spans);
+    let live_publish_us = sorted(
+        publishes[..live_publishes + b_publishes]
+            .iter()
+            .map(|p| us(p.duration))
+            .collect(),
+    );
+    let (emphasis_met, emphasis_line) = emphasis(workload, &out.values, &spans, &live_publish_us);
+    let _ = writeln!(
+        text,
+        "layer emphasis: {} ({emphasis_line})",
+        if emphasis_met { "PASS" } else { "NOT MET" }
+    );
     text += &check_line(&check);
+    if !emphasis_met {
+        // The workload no longer stresses the layers it was chosen for.
+        out.correct = false;
+        out.failures
+            .push(format!("layer emphasis not met: {emphasis_line}"));
+    }
     out.text = text;
     Ok(out)
 }
@@ -925,12 +941,15 @@ fn miss_path_us(replay: &trace::Replay) -> Vec<f64> {
     per_root.into_values().collect()
 }
 
-/// Confirms the layer emphasis each workload was chosen for.
+/// Whether the layer emphasis each workload was chosen for holds, and what
+/// was compared. `live_publish_us` holds the durations of the publishes
+/// beside the live reads, sorted.
 fn emphasis(
     workload: &Workload,
     values: &BTreeMap<&'static str, f64>,
     spans: &SpanStats,
-) -> String {
+    live_publish_us: &[f64],
+) -> (bool, String) {
     let hit_rate = values["cache.hit_rate"];
     let total: f64 = spans.read_budget.iter().map(|(_, us)| us).sum();
     let algo = spans
@@ -943,7 +962,7 @@ fn emphasis(
         .iter()
         .max_by(|x, y| x.1.total_cmp(&y.1))
         .map_or("", |(layer, _)| layer.as_str());
-    let (pass, detail) = match workload.name {
+    match workload.name {
         "hot-read" => (
             hit_rate >= 0.9 && algo < 0.5 * total,
             format!(
@@ -964,19 +983,18 @@ fn emphasis(
             ]
             .iter()
             .all(|name| spans.count(name) > 0);
+            let enough = supported_quantile(live_publish_us, 0.95).is_some();
             (
-                present,
+                present && enough,
                 format!(
-                    "graph, sharded, scoring and registry publish spans present over {} publishes",
-                    spans.publishes
+                    "graph, sharded, scoring and registry publish spans present over {} \
+                     replayed publishes; {} live publishes support a p95: {enough}",
+                    spans.publishes,
+                    live_publish_us.len()
                 ),
             )
         }
-    };
-    format!(
-        "layer emphasis: {} ({detail})\n",
-        if pass { "PASS" } else { "NOT MET" }
-    )
+    }
 }
 
 /// Runs `workload` open loop at each of `rates` and prints latency, SLO
@@ -1140,21 +1158,13 @@ mod tests {
                 reply: Ok(reply),
             })
             .collect();
-        let all = windows(&reads, 3.0, 250.0);
-        assert_eq!(all.len(), 3);
-        assert_eq!(
-            all.iter().map(|w| w.within_limit).collect::<Vec<_>>(),
-            [1500, 0, 1500]
-        );
-        let all: Vec<&Window> = all.iter().collect();
+        let all = windows(&reads, 3.0);
+        assert_eq!(all.iter().map(Vec::len).collect::<Vec<_>>(), [1500; 3]);
         let p50 = windowed_quantile(&all, 0.5).expect("supported");
         assert!((p50 - 200.0).abs() < 1e-6, "{p50}");
         // Too few reads per window leave fewer than ten beyond p99.
-        let few = windows(&reads[..900], 0.6, 250.0);
-        assert_eq!(
-            windowed_quantile(&few.iter().collect::<Vec<_>>(), 0.99),
-            None
-        );
+        let few = windows(&reads[..900], 0.6);
+        assert_eq!(windowed_quantile(&few, 0.99), None);
         assert_eq!(windowed_quantile(&[], 0.5), None);
     }
 }

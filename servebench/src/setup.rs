@@ -1,20 +1,21 @@
 //! Set-up: generate the graph, register it, precompute scoring and build
 //! shards, then start the service. Everything here happens before any timed
-//! traffic and is reported as `setup_s`.
+//! traffic; the workload graph's steps are reported as `setup_s`.
 
+use std::process::Command;
 use std::sync::Arc;
 use std::time::Instant;
 
 use datagen::{FreebaseDomain, SyntheticGenerator};
 use entity_graph::{EntityGraph, ShardingStrategy};
 use preview_core::ScoringConfig;
-use preview_service::{GraphRegistry, PreviewService, ServiceConfig};
+use preview_service::{GraphRegistry, PreviewService, RegisteredGraph, ServiceConfig};
 
 use crate::workload::{
     Workload, CACHE_SHARDS, GRAPH_NAME, GRAPH_SEED, PROBE_GRAPH, QUEUE_CAPACITY, SHARDS, WORKERS,
 };
 
-/// Seconds spent in each set-up step.
+/// Seconds spent in each set-up step of the workload graph.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SetupTimes {
     /// Graph generation (`datagen`).
@@ -23,7 +24,8 @@ pub struct SetupTimes {
     pub register_s: f64,
     /// Precomputing every scoring configuration the reads use.
     pub scoring_s: f64,
-    /// The whole set-up, service start included.
+    /// The sum of the steps above plus the service start. The probe copy
+    /// of a read-only workload is set up outside it.
     pub total_s: f64,
 }
 
@@ -57,42 +59,70 @@ pub fn service_config(workload: &Workload) -> ServiceConfig {
     }
 }
 
-/// Sets up `workload`: generate, register (sharded when the workload is;
-/// a read-only workload also registers its probe copy), score every config
-/// in `configs`, and start the service.
-pub fn setup(workload: &Workload, configs: &[ScoringConfig]) -> Result<Served, String> {
+/// The flag that makes the program time one set-up and print its seconds.
+pub const SETUP_ONLY_FLAG: &str = "--setup-only";
+
+/// Times one set-up of `workload` in a fresh process of this program. The
+/// set-up starts from a fresh heap, as a user's does, and its memory never
+/// counts toward the peak RSS of the measuring process.
+pub fn setup_in_child(workload: &Workload) -> Result<f64, String> {
+    let exe = std::env::current_exe().map_err(|e| format!("cannot locate this program: {e}"))?;
+    let output = Command::new(exe)
+        .args(["--workload", workload.name, SETUP_ONLY_FLAG])
+        .output()
+        .map_err(|e| format!("cannot start a set-up process: {e}"))?;
+    if !output.status.success() {
+        return Err(format!(
+            "set-up process failed: {}",
+            String::from_utf8_lossy(&output.stderr).trim()
+        ));
+    }
+    let stdout = String::from_utf8_lossy(&output.stdout);
+    stdout
+        .trim()
+        .parse()
+        .map_err(|_| format!("set-up process printed {stdout:?}"))
+}
+
+/// Seconds `f` takes, and what it returned.
+fn timed<T>(f: impl FnOnce() -> T) -> (f64, T) {
     // lint: allow(wall-clock, the benchmark times the service from outside)
     let start = Instant::now();
-    let graph = generate_graph(workload);
-    let generate_s = start.elapsed().as_secs_f64();
+    let value = f();
+    (start.elapsed().as_secs_f64(), value)
+}
+
+fn score_all(graph: &RegisteredGraph, configs: &[ScoringConfig]) -> Result<(), String> {
+    for config in configs {
+        graph
+            .scored_for(config)
+            .map_err(|e| format!("precomputing scoring failed: {e}"))?;
+    }
+    Ok(())
+}
+
+/// Sets up `workload`: generate, register (sharded when the workload is),
+/// score every config in `configs`, and start the service. A read-only
+/// workload also registers and scores its probe copy, untimed.
+pub fn setup(workload: &Workload, configs: &[ScoringConfig]) -> Result<Served, String> {
+    let (generate_s, graph) = timed(|| generate_graph(workload));
 
     let registry = Arc::new(GraphRegistry::new());
-    // lint: allow(wall-clock, the benchmark times the service from outside)
-    let step = Instant::now();
-    let mut registered = Vec::new();
     if workload.publish_graph() != GRAPH_NAME {
-        registered.push(registry.register(PROBE_GRAPH, graph.clone()));
+        let probe = registry.register(PROBE_GRAPH, graph.clone());
+        score_all(&probe, configs)?;
     }
-    registered.push(if workload.sharded {
-        registry.register_sharded(GRAPH_NAME, graph, strategy())
-    } else {
-        registry.register(GRAPH_NAME, graph)
-    });
-    let register_s = step.elapsed().as_secs_f64();
-
-    // lint: allow(wall-clock, the benchmark times the service from outside)
-    let step = Instant::now();
-    for graph in &registered {
-        for config in configs {
-            graph
-                .scored_for(config)
-                .map_err(|e| format!("precomputing scoring failed: {e}"))?;
+    let (register_s, registered) = timed(|| {
+        if workload.sharded {
+            registry.register_sharded(GRAPH_NAME, graph, strategy())
+        } else {
+            registry.register(GRAPH_NAME, graph)
         }
-    }
-    let scoring_s = step.elapsed().as_secs_f64();
-
-    let service = PreviewService::start(service_config(workload), Arc::clone(&registry));
-    let total_s = start.elapsed().as_secs_f64();
+    });
+    let (scoring_s, scored) = timed(|| score_all(&registered, configs));
+    scored?;
+    let (start_s, service) =
+        timed(|| PreviewService::start(service_config(workload), Arc::clone(&registry)));
     Ok(Served {
         registry,
         service,
@@ -100,7 +130,7 @@ pub fn setup(workload: &Workload, configs: &[ScoringConfig]) -> Result<Served, S
             generate_s,
             register_s,
             scoring_s,
-            total_s,
+            total_s: generate_s + register_s + scoring_s + start_s,
         },
     })
 }
