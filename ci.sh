@@ -2,8 +2,9 @@
 # CI gate for the preview-tables workspace.
 #
 # Runs the formatting and lint gates, then the tier-1 verify
-# (`cargo build --release && cargo test -q`), then checks that the
-# Criterion benches still compile. Fails on the first broken step.
+# (`cargo build --release && cargo test -q`) and the servebench self-tests,
+# then checks that the Criterion benches still compile. Fails on the first
+# broken step.
 
 set -euo pipefail
 cd "$(dirname "$0")"
@@ -22,6 +23,11 @@ cargo build --release
 
 echo "==> cargo test -q"
 cargo test -q
+
+echo "==> servebench self-tests"
+# The committed benchmark is a workspace of its own that builds against the
+# crates' public API; a change that breaks that API fails here.
+cargo test --release --offline --manifest-path servebench/Cargo.toml
 
 echo "==> cargo bench --no-run"
 cargo bench --no-run

@@ -5,15 +5,16 @@
 //! edges connect types within (beyond) distance `d`. The algorithm grows
 //! candidate subsets level-wise, Apriori style: two `(i−1)`-subsets that share
 //! their first `i−2` elements are joined if their last elements also satisfy
-//! the distance constraint. Every `k`-subset that survives is turned into a
-//! preview via Theorem 3 and the best one is returned.
-
+//! the distance constraint. Every `k`-subset that survives is scored via
+//! Theorem 3 without building its preview, and only the best one is
+//! assembled.
+//!
 //! Both the level-wise join (independent per prefix group) and the final
-//! per-subset preview assembly are embarrassingly parallel; they fan out
+//! per-subset scoring are embarrassingly parallel; they fan out
 //! across the fork-join pool with index-ordered merges, so the result is
 //! byte-identical to the sequential scan at any thread count.
 
-use crate::algo::common::{compute_preview, merge_best, space_is_empty};
+use crate::algo::common::{earliest_max, eligible_views, preview_at, space_is_empty, walk_subset};
 use crate::algo::PreviewDiscovery;
 use crate::constraint::{DistanceConstraint, PreviewSpace};
 use crate::error::{Error, Result};
@@ -57,105 +58,102 @@ impl PreviewDiscovery for AprioriDiscovery {
         if space_is_empty(scored, size) {
             return Ok(None);
         }
-        let eligible = scored.eligible_types();
-
-        let subsets = candidate_subsets(scored, constraint, size.tables, threads);
-        // Evaluate the surviving subsets in contiguous chunks; the
-        // earliest-strict-argmax merge in chunk order equals the sequential
-        // scan (see `merge_best`).
-        Ok(FjPool::global()
-            .map_chunked(threads, subsets.len(), |range| {
-                let mut best: Option<(Preview, f64)> = None;
-                for subset in &subsets[range] {
-                    let types: Vec<_> = subset.iter().map(|&i| eligible[i as usize]).collect();
-                    if let Some((preview, score)) = compute_preview(scored, &types, size) {
-                        best = merge_best(best, Some((preview, score)));
+        let k = size.tables;
+        let extras = size.non_keys - k;
+        let views = eligible_views(scored);
+        let subsets = candidate_subsets(scored, constraint, k, threads);
+        // Score the surviving subsets in contiguous chunks, keeping each
+        // chunk's earliest strict maximum by subset index; merged in chunk
+        // order, that equals the sequential scan.
+        let winner = FjPool::global()
+            .map_chunked(threads, subsets.len() / k, |range| {
+                let mut taken = Vec::with_capacity(k);
+                let mut best: Option<(f64, usize)> = None;
+                let chunk = subsets[range.start * k..range.end * k].chunks_exact(k);
+                for (index, subset) in range.zip(chunk) {
+                    let table = |pos: usize| views[subset[pos] as usize];
+                    if let Some(score) = walk_subset(k, table, extras, &mut taken) {
+                        if best.is_none_or(|(top, _)| score > top) {
+                            best = Some((score, index));
+                        }
                     }
                 }
                 best
             })
             .into_iter()
-            .fold(None, merge_best)
-            .map(|(preview, _)| preview))
+            .flatten()
+            .reduce(earliest_max);
+        Ok(winner.and_then(|(_, index)| {
+            let subset = &subsets[index * k..(index + 1) * k];
+            preview_at(scored, subset.iter().map(|&i| i as usize), size)
+        }))
     }
 }
 
 /// Level-wise generation of the `k`-subsets of eligible-type *indices* whose
-/// pairwise distances satisfy the constraint (Alg. 3, lines 1–14).
+/// pairwise distances satisfy the constraint (Alg. 3, lines 1–14), as one
+/// flat vector with stride `k`.
 ///
-/// Each level is produced in lexicographic order: L2 is generated per first
-/// index, later levels per shared-prefix group — both fan out across the
-/// fork-join pool and concatenate their per-group output in group order, so
-/// the generated candidate list is identical to the sequential join at any
-/// thread count.
+/// Every level is flat the same way, in lexicographic order with the level's
+/// subset size as its stride: L2 is generated per first index, later
+/// levels per shared-prefix group — both fan out across the fork-join pool
+/// and concatenate their per-group output in group order, so the generated
+/// candidate list is identical to the sequential join at any thread count.
 fn candidate_subsets(
     scored: &ScoredSchema,
     constraint: DistanceConstraint,
     k: usize,
     threads: usize,
-) -> Vec<Vec<u32>> {
+) -> Vec<u32> {
     let eligible = scored.eligible_types();
     let distances = scored.distances();
     let pair_ok = |a: u32, b: u32| -> bool {
         constraint.pair_ok(distances.distance(eligible[a as usize], eligible[b as usize]))
     };
     let pool = FjPool::global();
+    let count = eligible.len() as u32;
 
     if k == 1 {
-        return (0..eligible.len() as u32).map(|i| vec![i]).collect();
+        return (0..count).collect();
     }
 
     // L2: all ordered pairs (i < j) satisfying the constraint, grouped (and
     // parallelized) by their first index.
-    let firsts: Vec<u32> = (0..eligible.len() as u32).collect();
-    let mut level: Vec<Vec<u32>> = pool
+    let firsts: Vec<u32> = (0..count).collect();
+    let mut level: Vec<u32> = pool
         .map(threads, &firsts, |_, &i| {
-            ((i + 1)..eligible.len() as u32)
+            ((i + 1)..count)
                 .filter(|&j| pair_ok(i, j))
-                .map(|j| vec![i, j])
+                .flat_map(|j| [i, j])
                 .collect::<Vec<_>>()
         })
-        .into_iter()
-        .flatten()
-        .collect();
+        .concat();
 
     let mut size = 2;
     while size < k && !level.is_empty() {
         // Join pairs of subsets sharing all but their last element. The level
-        // is generated in lexicographic order, so subsets with a common
-        // prefix are adjacent: a cheap sequential scan finds the group
-        // boundaries, then every group joins independently.
-        let mut groups: Vec<std::ops::Range<usize>> = Vec::new();
-        let mut start = 0;
-        while start < level.len() {
-            let prefix = &level[start][..size - 1];
-            let mut end = start + 1;
-            while end < level.len() && &level[end][..size - 1] == prefix {
-                end += 1;
-            }
-            groups.push(start..end);
-            start = end;
-        }
-        let next: Vec<Vec<u32>> = pool
+        // is in lexicographic order, so subsets with a common prefix are
+        // adjacent: one scan finds the groups, then every group joins
+        // independently.
+        let subsets: Vec<&[u32]> = level.chunks_exact(size).collect();
+        let groups: Vec<&[&[u32]]> = subsets
+            .chunk_by(|a, b| a[..size - 1] == b[..size - 1])
+            .collect();
+        level = pool
             .map(threads, &groups, |_, group| {
-                let mut joined_group: Vec<Vec<u32>> = Vec::new();
-                for a in group.clone() {
-                    for b in (a + 1)..group.end {
-                        let last_a = level[a][size - 1];
-                        let last_b = level[b][size - 1];
-                        if pair_ok(last_a, last_b) {
-                            let mut joined = level[a].clone();
-                            joined.push(last_b);
-                            joined_group.push(joined);
+                let mut joined = Vec::new();
+                for (a, first) in group.iter().enumerate() {
+                    for second in &group[a + 1..] {
+                        let last = second[size - 1];
+                        if pair_ok(first[size - 1], last) {
+                            joined.extend_from_slice(first);
+                            joined.push(last);
                         }
                     }
                 }
-                joined_group
+                joined
             })
-            .into_iter()
-            .flatten()
-            .collect();
-        level = next;
+            .concat();
         size += 1;
     }
 

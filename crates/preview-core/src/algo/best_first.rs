@@ -22,11 +22,10 @@ use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::time::Instant;
 
-use entity_graph::TypeId;
 use preview_obs::{Counter, Stage};
 
 use super::bound::BoundContext;
-use super::common::{compute_preview, replaces_incumbent, space_is_empty};
+use super::common::{preview_at, replaces_incumbent, space_is_empty, walk_subset};
 use super::PreviewDiscovery;
 use crate::constraint::PreviewSpace;
 use crate::error::Result;
@@ -233,10 +232,9 @@ impl Ord for Node {
     }
 }
 
-/// Best incumbent so far: preview, score, and the index subset that produced
-/// it (needed for the lexicographic tie-break).
+/// Best incumbent so far: its score and index subset (needed for the
+/// lexicographic tie-break). Only the final incumbent's preview is built.
 struct Incumbent {
-    preview: Preview,
     score: f64,
     subset: Vec<u32>,
 }
@@ -282,11 +280,12 @@ fn search(scored: &ScoredSchema, space: &PreviewSpace, budget: AnytimeBudget) ->
     // lint: allow(wall-clock, anytime budget epoch; result content stays deterministic, only the stop point varies)
     let start = Instant::now();
     let ctx = BoundContext::new(scored, space);
-    let eligible = scored.eligible_types();
+    let views = ctx.views();
     let k = size.tables;
+    let extras = size.non_keys - k;
     let mut scratch: Vec<f64> = Vec::new();
     let mut heap: BinaryHeap<Node> = BinaryHeap::new();
-    let all: Vec<u32> = (0..eligible.len() as u32).collect();
+    let all: Vec<u32> = (0..views.len() as u32).collect();
     if let Some(root_bound) = ctx.upper_bound_with(&[], &all, &mut scratch) {
         heap.push(Node {
             bound: root_bound,
@@ -296,7 +295,8 @@ fn search(scored: &ScoredSchema, space: &PreviewSpace, budget: AnytimeBudget) ->
     }
 
     let mut incumbent: Option<Incumbent> = None;
-    let mut subset_scratch: Vec<TypeId> = Vec::with_capacity(k);
+    let mut leaf: Vec<u32> = Vec::with_capacity(k);
+    let mut taken = Vec::with_capacity(k);
     let mut truncated = false;
     while let Some(node) = heap.pop() {
         if let Some(inc) = &incumbent {
@@ -330,24 +330,21 @@ fn search(scored: &ScoredSchema, space: &PreviewSpace, budget: AnytimeBudget) ->
             // Children are complete subsets: score them now instead of
             // re-queueing (their bound equals their score up to rounding).
             for &j in &node.feasible {
-                subset_scratch.clear();
-                subset_scratch.extend(node.prefix.iter().map(|&i| eligible[i as usize]));
-                subset_scratch.push(eligible[j as usize]);
+                leaf.clear();
+                leaf.extend_from_slice(&node.prefix);
+                leaf.push(j);
                 stats.subsets_evaluated += 1;
-                let Some((preview, score)) = compute_preview(scored, &subset_scratch, size) else {
+                let table = |pos: usize| views[leaf[pos] as usize];
+                let Some(score) = walk_subset(k, table, extras, &mut taken) else {
                     continue;
                 };
-                let mut subset = Vec::with_capacity(k);
-                subset.extend_from_slice(&node.prefix);
-                subset.push(j);
                 let replaces = incumbent
                     .as_ref()
-                    .is_none_or(|inc| replaces_incumbent(score, &subset, inc.score, &inc.subset));
+                    .is_none_or(|inc| replaces_incumbent(score, &leaf, inc.score, &inc.subset));
                 if replaces {
                     incumbent = Some(Incumbent {
-                        preview,
                         score,
-                        subset,
+                        subset: leaf.clone(),
                     });
                 }
             }
@@ -392,7 +389,8 @@ fn search(scored: &ScoredSchema, space: &PreviewSpace, budget: AnytimeBudget) ->
         score
     };
     AnytimeOutcome {
-        preview: incumbent.map(|inc| inc.preview),
+        preview: incumbent
+            .and_then(|inc| preview_at(scored, inc.subset.iter().map(|&i| i as usize), size)),
         score,
         upper_bound,
         exact: !truncated,

@@ -42,7 +42,7 @@
 
 use entity_graph::DistanceMatrix;
 
-use crate::candidates::Candidate;
+use crate::algo::common::{eligible_views, KeyView};
 use crate::constraint::{DistanceConstraint, PreviewSpace};
 use crate::scoring::ScoredSchema;
 
@@ -70,11 +70,10 @@ pub struct BoundContext<'a> {
     /// Per eligible index: the per-slot maximum `S(τ)·Sτ(γ₁)` (the
     /// [`ScoredSchema::weighted_top_score`] of the type).
     slot_max: Vec<f64>,
-    /// Per eligible index: the type's key score (weights the extras).
-    key: Vec<f64>,
-    /// Per eligible index: the type's candidate list, sorted by descending
-    /// score, so the weighted extras `key · cands[j≥1].score` are sorted too.
-    cands: Vec<&'a [Candidate]>,
+    /// Per eligible index: the type's key score (≥ 0) and candidate list,
+    /// sorted by descending score, so the weighted extras
+    /// `key · cands[j≥1].score` are sorted too.
+    views: Vec<KeyView<'a>>,
 }
 
 impl<'a> BoundContext<'a> {
@@ -86,8 +85,6 @@ impl<'a> BoundContext<'a> {
             .iter()
             .map(|&ty| scored.weighted_top_score(ty))
             .collect();
-        let key = eligible.iter().map(|&ty| scored.key_score(ty)).collect();
-        let cands = eligible.iter().map(|&ty| scored.candidates(ty)).collect();
         Self {
             scored,
             distances: scored.distances(),
@@ -95,9 +92,14 @@ impl<'a> BoundContext<'a> {
             tables: size.tables,
             extra_slots: size.non_keys.saturating_sub(size.tables),
             slot_max,
-            key,
-            cands,
+            views: eligible_views(scored),
         }
+    }
+
+    /// The [`KeyView`] of every eligible index, for scoring complete subsets
+    /// with [`walk_subset`](crate::algo::common::walk_subset).
+    pub(crate) fn views(&self) -> &[KeyView<'a>] {
+        &self.views
     }
 
     /// Whether the eligible types at indices `a` and `b` may coexist in one
@@ -169,8 +171,8 @@ impl<'a> BoundContext<'a> {
             let extensions: &[u32] = if need > 0 { feasible } else { &[] };
             top_reset(scratch, self.extra_slots);
             for &i in prefix.iter().chain(extensions) {
-                let key = self.key[i as usize];
-                for cand in &self.cands[i as usize][1..] {
+                let (key, cands) = self.views[i as usize];
+                for cand in &cands[1..] {
                     // Extras of one type descend, so once one fails to enter
                     // the top buffer the rest of the list cannot either.
                     if !top_offer(scratch, self.extra_slots, key * cand.score) {

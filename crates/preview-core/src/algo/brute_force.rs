@@ -1,10 +1,11 @@
 //! Brute-force optimal preview discovery (Alg. 1).
 //!
-//! Enumerates every `k`-subset of eligible entity types, assembles the best
-//! preview for each subset via Theorem 3, and keeps the highest-scoring one.
+//! Enumerates every `k`-subset of eligible entity types, scores the best
+//! preview for each subset via Theorem 3 without building it, keeps the
+//! highest-scoring subset, and assembles only the winner's preview.
 //! With a distance constraint, subsets whose key attributes violate the
-//! pairwise bound are discarded before assembly. The worst-case cost is
-//! `O(K·N·logN + C(K,k)·(k + n))`, exponential in `k` — the paper uses this
+//! pairwise bound are discarded before scoring. The worst-case cost is
+//! `O(K·N·logN + C(K,k)·k·n)`, exponential in `k` — the paper uses this
 //! algorithm as the baseline that the DP and Apriori algorithms beat by orders
 //! of magnitude (Figs. 8–9).
 //!
@@ -14,7 +15,9 @@
 //! index-ordered merge keeps the winner — and thus the output — byte-identical
 //! to the one-loop sequential scan.
 
-use crate::algo::common::{compute_preview, merge_best, space_is_empty, Combinations};
+use crate::algo::common::{
+    earliest_max, eligible_views, next_combination, preview_at, space_is_empty, walk_subset,
+};
 use crate::algo::PreviewDiscovery;
 use crate::constraint::PreviewSpace;
 use crate::error::Result;
@@ -49,43 +52,47 @@ impl PreviewDiscovery for BruteForceDiscovery {
             return Ok(None);
         }
         let distance_constraint = space.distance();
+        let distances = scored.distances();
         let eligible = scored.eligible_types();
+        let views = eligible_views(scored);
         let k = size.tables;
+        let extras = size.non_keys - k;
         // One work unit per first (smallest) subset index; together they
         // enumerate exactly the lexicographic order of the one-loop scan.
         let firsts: Vec<usize> = (0..=eligible.len() - k).collect();
         let per_first = FjPool::global().map(threads, &firsts, |_, &first| {
-            let distances = scored.distances();
-            let mut best: Option<(Preview, f64)> = None;
-            let mut subset = Vec::with_capacity(k);
-            for combo in Combinations::new(eligible.len() - first - 1, k - 1) {
-                subset.clear();
-                subset.push(eligible[first]);
-                subset.extend(combo.iter().map(|&i| eligible[first + 1 + i]));
-                if let Some(constraint) = distance_constraint {
-                    let mut ok = true;
-                    'pairs: for (i, &a) in subset.iter().enumerate() {
-                        for &b in subset.iter().skip(i + 1) {
-                            if !constraint.pair_ok(distances.distance(a, b)) {
-                                ok = false;
-                                break 'pairs;
-                            }
+            let mut subset: Vec<usize> = (first..first + k).collect();
+            let mut best: Option<f64> = None;
+            let mut best_subset = subset.clone();
+            let mut taken = Vec::with_capacity(k);
+            loop {
+                let feasible = distance_constraint.is_none_or(|constraint| {
+                    subset.iter().enumerate().all(|(i, &a)| {
+                        subset[i + 1..].iter().all(|&b| {
+                            constraint.pair_ok(distances.distance(eligible[a], eligible[b]))
+                        })
+                    })
+                });
+                if feasible {
+                    let table = |pos: usize| views[subset[pos]];
+                    if let Some(score) = walk_subset(k, table, extras, &mut taken) {
+                        // A later subset must score strictly higher to win.
+                        if best.is_none_or(|top| score > top) {
+                            best = Some(score);
+                            best_subset.copy_from_slice(&subset);
                         }
                     }
-                    if !ok {
-                        continue;
-                    }
                 }
-                if let Some((preview, score)) = compute_preview(scored, &subset, size) {
-                    best = merge_best(best, Some((preview, score)));
+                if !next_combination(&mut subset[1..], eligible.len()) {
+                    break;
                 }
             }
-            best
+            best.map(|score| (score, best_subset))
         });
-        Ok(per_first
-            .into_iter()
-            .fold(None, merge_best)
-            .map(|(preview, _)| preview))
+        // Per-first winners merged in first-index order keep the
+        // earliest-strict-argmax of the sequential scan.
+        let winner = per_first.into_iter().flatten().reduce(earliest_max);
+        Ok(winner.and_then(|(_, subset)| preview_at(scored, subset, size)))
     }
 }
 

@@ -1,11 +1,28 @@
-//! Shared machinery of the discovery algorithms: Theorem-3 preview assembly
-//! for a fixed set of key attributes, and k-subset enumeration.
+//! Shared machinery of the discovery algorithms: the Theorem-3 scoring walk
+//! for a fixed set of key attributes, preview assembly on top of it, and
+//! in-place k-subset stepping.
 
 use entity_graph::TypeId;
 
+use crate::candidates::Candidate;
 use crate::constraint::SizeConstraint;
 use crate::preview::{NonKeyAttr, Preview, PreviewTable};
 use crate::scoring::ScoredSchema;
+
+/// One key attribute as the scoring walk reads it: the key score `S(τ)` and
+/// the candidate list, sorted by descending score.
+pub(crate) type KeyView<'a> = (f64, &'a [Candidate]);
+
+/// The [`KeyView`] of every eligible type, indexed like
+/// [`ScoredSchema::eligible_types`] — the index space the enumerating
+/// algorithms work in.
+pub(crate) fn eligible_views(scored: &ScoredSchema) -> Vec<KeyView<'_>> {
+    scored
+        .eligible_types()
+        .iter()
+        .map(|&ty| (scored.key_score(ty), scored.candidates(ty)))
+        .collect()
+}
 
 /// Whether the preview space is trivially empty for `scored`, so every
 /// algorithm must return `Ok(None)` without running.
@@ -20,23 +37,15 @@ pub(crate) fn space_is_empty(scored: &ScoredSchema, size: SizeConstraint) -> boo
     size.tables == 0 || size.non_keys < size.tables || scored.eligible_types().len() < size.tables
 }
 
-/// Merges two scored candidates in index order, keeping the earlier one
-/// unless the later is *strictly* better — exactly the tie-break of the
-/// sequential enumeration loop. Earliest-strict-argmax is associative, so
+/// Merges two scored winners found in index order, keeping the earlier
+/// unless the later scores *strictly* higher — the tie-break of the
+/// sequential enumeration (earliest-strict-argmax). It is associative, so
 /// per-chunk winners merged in chunk order equal the full sequential scan.
-pub(crate) fn merge_best(
-    earlier: Option<(Preview, f64)>,
-    later: Option<(Preview, f64)>,
-) -> Option<(Preview, f64)> {
-    match (earlier, later) {
-        (Some(a), Some(b)) => {
-            if b.1 > a.1 {
-                Some(b)
-            } else {
-                Some(a)
-            }
-        }
-        (a, b) => a.or(b),
+pub(crate) fn earliest_max<T>(earlier: (f64, T), later: (f64, T)) -> (f64, T) {
+    if later.0 > earlier.0 {
+        later
+    } else {
+        earlier
     }
 }
 
@@ -45,11 +54,10 @@ pub(crate) fn merge_best(
 /// visit subsets in lexicographic order (best-first search pops by bound).
 ///
 /// The sequential scan keeps the *first* subset in lexicographic order that
-/// attains the maximum score ([`merge_best`] realizes this as
-/// earliest-strict-argmax). Out of visit order, the same winner is the
-/// lexicographically smallest max-scoring subset, so a candidate replaces the
-/// incumbent iff it scores strictly higher, or ties the score with a
-/// lexicographically smaller index subset.
+/// attains the maximum score ([`earliest_max`]). Out of visit order, the same
+/// winner is the lexicographically smallest max-scoring subset, so a
+/// candidate replaces the incumbent iff it scores strictly higher, or ties
+/// the score with a lexicographically smaller index subset.
 pub(crate) fn replaces_incumbent(
     candidate_score: f64,
     candidate_subset: &[u32],
@@ -60,14 +68,64 @@ pub(crate) fn replaces_incumbent(
         || (candidate_score == incumbent_score && candidate_subset < incumbent_subset)
 }
 
-/// Assembles the best preview whose key attributes are exactly `subset`
-/// (Alg. 1, lines 5–14; the `ComputePreview` routine of Alg. 3).
+/// Scores the best preview keyed on the `k` tables `table(0..k)` without
+/// building it (Alg. 1, lines 5–14; the `ComputePreview` routine of Alg. 3).
 ///
-/// Following Theorem 3, every table takes its highest-scoring candidate
-/// non-key attribute first; the remaining `n − k` attribute slots are filled
-/// with the globally best remaining candidates weighted by
-/// `S(τ) × Sτ(γ)`. Returns `None` if any key attribute has no candidate
-/// non-key attribute (such a table would violate Def. 1).
+/// Following Theorem 3, every table takes its top candidate, and the `extras`
+/// remaining slots go to the globally best remaining candidates weighted by
+/// `S(τ) × Sτ(γ)`. The score is summed in exactly this order: the `k` top-1
+/// terms in table order, then the extras largest first, ties to the lower
+/// table position and then the lower candidate rank. The extras come from a
+/// k-way merge over the per-table candidate lists, which already are the
+/// sorted runs of that order: a list's weighted extras never increase because
+/// its candidates are sorted by descending score and its key score is ≥ 0
+/// (and rounding is monotone). So the merge yields the order a full sort of
+/// the pooled extras would, and the same score bits, without the pool.
+///
+/// On `Some`, `taken[pos]` is how many candidates table `pos` takes — always
+/// its top ones. `taken` is caller-owned scratch, so the walk allocates
+/// nothing once it has grown to `k`. Returns `None` if any table has no
+/// candidate (such a table would violate Def. 1).
+pub(crate) fn walk_subset<'a>(
+    k: usize,
+    table: impl Fn(usize) -> KeyView<'a>,
+    extras: usize,
+    taken: &mut Vec<usize>,
+) -> Option<f64> {
+    taken.clear();
+    let mut score = 0.0;
+    for pos in 0..k {
+        let (key, cands) = table(pos);
+        debug_assert!(
+            key >= 0.0,
+            "the extras merge needs key scores >= 0, got {key}"
+        );
+        score += key * cands.first()?.score;
+        taken.push(1);
+    }
+    for _ in 0..extras {
+        let mut best: Option<(usize, f64)> = None;
+        for (pos, &next) in taken.iter().enumerate() {
+            let (key, cands) = table(pos);
+            if let Some(cand) = cands.get(next) {
+                let weighted = key * cand.score;
+                debug_assert!(!weighted.is_nan(), "scores must not be NaN");
+                if best.is_none_or(|(_, top)| weighted > top) {
+                    best = Some((pos, weighted));
+                }
+            }
+        }
+        let Some((pos, weighted)) = best else { break };
+        taken[pos] += 1;
+        score += weighted;
+    }
+    Some(score)
+}
+
+/// Assembles the best preview whose key attributes are exactly `subset`,
+/// with its score: the preview [`walk_subset`] scores, so both report the
+/// same score bits. Returns `None` if any key attribute has no candidate
+/// non-key attribute.
 pub(crate) fn compute_preview(
     scored: &ScoredSchema,
     subset: &[TypeId],
@@ -75,107 +133,56 @@ pub(crate) fn compute_preview(
 ) -> Option<(Preview, f64)> {
     debug_assert_eq!(subset.len(), size.tables);
     let k = subset.len();
-    let mut per_table: Vec<Vec<NonKeyAttr>> = Vec::with_capacity(k);
-    let mut score = 0.0;
-
-    // Mandatory top-1 candidate per table.
-    for &ty in subset {
-        let cands = scored.candidates(ty);
-        let first = cands.first()?;
-        per_table.push(vec![NonKeyAttr::new(first.edge, first.direction)]);
-        score += scored.key_score(ty) * first.score;
-    }
-
-    // Remaining budget: globally best candidates weighted by key score.
-    let remaining = size.non_keys.saturating_sub(k);
-    if remaining > 0 {
-        let mut pool: Vec<(f64, usize, usize)> = Vec::new();
-        for (pos, &ty) in subset.iter().enumerate() {
-            let key_score = scored.key_score(ty);
-            for (cand_idx, cand) in scored.candidates(ty).iter().enumerate().skip(1) {
-                pool.push((key_score * cand.score, pos, cand_idx));
-            }
-        }
-        // Sort descending by weighted score; deterministic tie-break by table
-        // position and candidate rank.
-        pool.sort_by(|a, b| {
-            b.0.partial_cmp(&a.0)
-                .expect("scores must not be NaN")
-                .then_with(|| a.1.cmp(&b.1))
-                .then_with(|| a.2.cmp(&b.2))
-        });
-        for &(weighted, pos, cand_idx) in pool.iter().take(remaining) {
-            let cand = scored.candidates(subset[pos])[cand_idx];
-            per_table[pos].push(NonKeyAttr::new(cand.edge, cand.direction));
-            score += weighted;
-        }
-    }
-
+    let mut taken = Vec::with_capacity(k);
+    let table = |pos: usize| {
+        (
+            scored.key_score(subset[pos]),
+            scored.candidates(subset[pos]),
+        )
+    };
+    let score = walk_subset(k, table, size.non_keys.saturating_sub(k), &mut taken)?;
     let tables = subset
         .iter()
-        .zip(per_table)
-        .map(|(&ty, non_keys)| PreviewTable::new(ty, non_keys))
+        .zip(&taken)
+        .map(|(&ty, &m)| {
+            let non_keys = scored.candidates(ty)[..m]
+                .iter()
+                .map(|c| NonKeyAttr::new(c.edge, c.direction))
+                .collect();
+            PreviewTable::new(ty, non_keys)
+        })
         .collect();
     Some((Preview::new(tables), score))
 }
 
-/// Iterator over all `k`-subsets of `0..n`, yielded as index vectors in
-/// lexicographic order. Used by the brute-force algorithm (Alg. 1, line 4).
-pub(crate) struct Combinations {
-    n: usize,
-    k: usize,
-    indices: Vec<usize>,
-    started: bool,
-    done: bool,
+/// Builds the preview of a score-only search's winner, given as positions
+/// into [`ScoredSchema::eligible_types`].
+pub(crate) fn preview_at(
+    scored: &ScoredSchema,
+    indices: impl IntoIterator<Item = usize>,
+    size: SizeConstraint,
+) -> Option<Preview> {
+    let eligible = scored.eligible_types();
+    let subset: Vec<TypeId> = indices.into_iter().map(|i| eligible[i]).collect();
+    compute_preview(scored, &subset, size).map(|(preview, _)| preview)
 }
 
-impl Combinations {
-    pub(crate) fn new(n: usize, k: usize) -> Self {
-        Self {
-            n,
-            k,
-            indices: (0..k).collect(),
-            started: false,
-            done: k > n,
+/// Steps `indices`, a strictly increasing subset of `0..n`, to its
+/// lexicographic successor in place (Alg. 1, line 4). Returns `false`, and
+/// leaves `indices` as it was, when it already is the last one.
+pub(crate) fn next_combination(indices: &mut [usize], n: usize) -> bool {
+    let k = indices.len();
+    debug_assert!(k <= n);
+    for i in (0..k).rev() {
+        if indices[i] != i + n - k {
+            indices[i] += 1;
+            for j in i + 1..k {
+                indices[j] = indices[j - 1] + 1;
+            }
+            return true;
         }
     }
-}
-
-impl Iterator for Combinations {
-    type Item = Vec<usize>;
-
-    fn next(&mut self) -> Option<Vec<usize>> {
-        if self.done {
-            return None;
-        }
-        if !self.started {
-            self.started = true;
-            if self.k == 0 {
-                self.done = true;
-                return Some(Vec::new());
-            }
-            return Some(self.indices.clone());
-        }
-        // Advance to the next combination.
-        let k = self.k;
-        let n = self.n;
-        let mut i = k;
-        loop {
-            if i == 0 {
-                self.done = true;
-                return None;
-            }
-            i -= 1;
-            if self.indices[i] != i + n - k {
-                break;
-            }
-        }
-        self.indices[i] += 1;
-        for j in i + 1..k {
-            self.indices[j] = self.indices[j - 1] + 1;
-        }
-        Some(self.indices.clone())
-    }
+    false
 }
 
 /// Number of `k`-subsets of an `n`-set, saturating at `u128::MAX`.
@@ -194,14 +201,26 @@ pub(crate) fn binomial(n: usize, k: usize) -> u128 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scoring::ScoringConfig;
+    use crate::scoring::{KeyScoring, NonKeyScoring, ScoringConfig};
     use entity_graph::fixtures::{self, types};
+
+    /// Every `k`-subset of `0..n` in the order [`next_combination`] visits.
+    fn combinations(n: usize, k: usize) -> Vec<Vec<usize>> {
+        if k > n {
+            return Vec::new();
+        }
+        let mut indices: Vec<usize> = (0..k).collect();
+        let mut all = vec![indices.clone()];
+        while next_combination(&mut indices, n) {
+            all.push(indices.clone());
+        }
+        all
+    }
 
     #[test]
     fn combinations_enumerate_all_subsets() {
-        let all: Vec<Vec<usize>> = Combinations::new(4, 2).collect();
         assert_eq!(
-            all,
+            combinations(4, 2),
             vec![
                 vec![0, 1],
                 vec![0, 2],
@@ -211,15 +230,23 @@ mod tests {
                 vec![2, 3],
             ]
         );
+        // Stepping a suffix that starts above zero, as the brute force does
+        // behind a fixed first index.
+        let mut suffix = [3, 4];
+        assert!(next_combination(&mut suffix, 6));
+        assert_eq!(suffix, [3, 5]);
+        assert!(next_combination(&mut suffix, 6));
+        assert_eq!(suffix, [4, 5]);
+        assert!(!next_combination(&mut suffix, 6));
     }
 
     #[test]
     fn combinations_edge_cases() {
-        assert_eq!(Combinations::new(3, 0).count(), 1);
-        assert_eq!(Combinations::new(3, 3).count(), 1);
-        assert_eq!(Combinations::new(3, 4).count(), 0);
-        assert_eq!(Combinations::new(0, 0).count(), 1);
-        assert_eq!(Combinations::new(6, 3).count(), 20);
+        assert_eq!(combinations(3, 0).len(), 1);
+        assert_eq!(combinations(3, 3).len(), 1);
+        assert_eq!(combinations(3, 4).len(), 0);
+        assert_eq!(combinations(0, 0).len(), 1);
+        assert_eq!(combinations(6, 3).len(), 20);
     }
 
     #[test]
@@ -228,6 +255,79 @@ mod tests {
         assert_eq!(binomial(69, 6), 119_877_472);
         assert_eq!(binomial(3, 5), 0);
         assert_eq!(binomial(10, 0), 1);
+    }
+
+    /// The assembly the walk replaced: pool every extra of the subset, sort
+    /// the pool by weighted score (ties by table position, then candidate
+    /// rank), and add the top ones after the top-1 terms.
+    fn pool_sort_score(scored: &ScoredSchema, subset: &[TypeId], extras: usize) -> Option<f64> {
+        let mut score = 0.0;
+        for &ty in subset {
+            score += scored.key_score(ty) * scored.candidates(ty).first()?.score;
+        }
+        let mut pool: Vec<(f64, usize, usize)> = Vec::new();
+        for (pos, &ty) in subset.iter().enumerate() {
+            let key = scored.key_score(ty);
+            for (rank, cand) in scored.candidates(ty).iter().enumerate().skip(1) {
+                pool.push((key * cand.score, pos, rank));
+            }
+        }
+        pool.sort_by(|a, b| {
+            b.0.partial_cmp(&a.0)
+                .unwrap()
+                .then_with(|| a.1.cmp(&b.1))
+                .then_with(|| a.2.cmp(&b.2))
+        });
+        for &(weighted, _, _) in pool.iter().take(extras) {
+            score += weighted;
+        }
+        Some(score)
+    }
+
+    #[test]
+    fn walk_scores_every_fig1_subset_with_compute_preview_bits() {
+        let g = fixtures::figure1_graph();
+        for config in [
+            ScoringConfig::coverage(),
+            ScoringConfig::new(KeyScoring::RandomWalk, NonKeyScoring::Entropy),
+        ] {
+            let scored = ScoredSchema::build(&g, &config).unwrap();
+            let types: Vec<TypeId> = scored.schema().types().collect();
+            let mut taken = Vec::new();
+            for k in 1..=types.len() {
+                for n in k..=k + 6 {
+                    let size = SizeConstraint {
+                        tables: k,
+                        non_keys: n,
+                    };
+                    for combo in combinations(types.len(), k) {
+                        let subset: Vec<TypeId> = combo.iter().map(|&i| types[i]).collect();
+                        let table = |pos: usize| {
+                            (
+                                scored.key_score(subset[pos]),
+                                scored.candidates(subset[pos]),
+                            )
+                        };
+                        let walked = walk_subset(k, table, n - k, &mut taken);
+                        let assembled = compute_preview(&scored, &subset, size);
+                        assert_eq!(
+                            walked.map(f64::to_bits),
+                            assembled.as_ref().map(|(_, score)| score.to_bits()),
+                            "{subset:?} n={n}"
+                        );
+                        assert_eq!(
+                            walked.map(f64::to_bits),
+                            pool_sort_score(&scored, &subset, n - k).map(f64::to_bits),
+                            "{subset:?} n={n}"
+                        );
+                        if let Some((preview, score)) = assembled {
+                            assert_eq!(preview.non_key_count(), taken.iter().sum::<usize>());
+                            assert!((scored.preview_score(&preview) - score).abs() < 1e-9);
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

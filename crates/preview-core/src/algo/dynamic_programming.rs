@@ -62,15 +62,15 @@ impl PreviewDiscovery for DynamicProgrammingDiscovery {
         let n = size.non_keys;
 
         const NEG: f64 = f64::NEG_INFINITY;
-        // dp[x][i][j]: best score using a subset of the first x eligible types
-        // with exactly i tables and at most j non-key attributes.
-        // choice[x][i][j]: how many candidates the x-th type contributes at
-        // that optimum (0 = the x-th type is skipped).
-        let mut dp = vec![vec![vec![NEG; n + 1]; k + 1]; types_total + 1];
-        let mut choice = vec![vec![vec![0u16; n + 1]; k + 1]; types_total + 1];
-        for cell in dp[0][0].iter_mut() {
-            *cell = 0.0;
-        }
+        // dp[at(x, i, j)]: best score using a subset of the first x eligible
+        // types with exactly i tables and at most j non-key attributes.
+        // choice[at(x, i, j)]: how many candidates the x-th type contributes
+        // at that optimum (0 = the x-th type is skipped).
+        let at = |x: usize, i: usize, j: usize| (x * (k + 1) + i) * (n + 1) + j;
+        let cells = at(types_total + 1, 0, 0);
+        let mut dp = vec![NEG; cells];
+        let mut choice = vec![0u16; cells];
+        dp[at(0, 0, 0)..at(0, 1, 0)].fill(0.0);
 
         for x in 1..=types_total {
             let ty = eligible[x - 1];
@@ -79,7 +79,7 @@ impl PreviewDiscovery for DynamicProgrammingDiscovery {
             for i in 0..=k {
                 for j in 0..=n {
                     // Option 1: skip type x.
-                    let mut best = dp[x - 1][i][j];
+                    let mut best = dp[at(x - 1, i, j)];
                     let mut best_m = 0u16;
                     // Option 2: build a table on type x with its top-m candidates.
                     if i >= 1 && j >= i {
@@ -87,7 +87,7 @@ impl PreviewDiscovery for DynamicProgrammingDiscovery {
                         // non-key attribute, so at most j-(i-1) go to type x.
                         let max_m = available.min(j - (i - 1));
                         for m in 1..=max_m {
-                            let prev = dp[x - 1][i - 1][j - m];
+                            let prev = dp[at(x - 1, i - 1, j - m)];
                             if prev == NEG {
                                 continue;
                             }
@@ -98,13 +98,13 @@ impl PreviewDiscovery for DynamicProgrammingDiscovery {
                             }
                         }
                     }
-                    dp[x][i][j] = best;
-                    choice[x][i][j] = best_m;
+                    dp[at(x, i, j)] = best;
+                    choice[at(x, i, j)] = best_m;
                 }
             }
         }
 
-        if dp[types_total][k][n] == NEG {
+        if dp[at(types_total, k, n)] == NEG {
             return Ok(None);
         }
 
@@ -116,7 +116,7 @@ impl PreviewDiscovery for DynamicProgrammingDiscovery {
             if i == 0 {
                 break;
             }
-            let m = choice[x][i][j] as usize;
+            let m = choice[at(x, i, j)] as usize;
             if m == 0 {
                 continue;
             }

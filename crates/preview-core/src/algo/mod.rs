@@ -13,6 +13,27 @@
 //! and return an optimal [`Preview`] (or `None` when the
 //! constraint is infeasible, e.g. more tables requested than eligible entity
 //! types, or no `k` types satisfy the distance constraint).
+//!
+//! # Score-first evaluation
+//!
+//! Brute force, Apriori and best-first evaluate many key subsets and keep
+//! one. They score each subset without building its preview: a single walk
+//! that allocates nothing sums the Theorem-3 score — the `k` top-1 terms in
+//! subset order, then the best `n − k` extras, taken by a k-way merge over
+//! the per-type candidate lists. The engines track only
+//! `(score, subset index)` under their tie-breaks (earliest strict maximum
+//! in lexicographic order) and assemble the winner's preview once, at the
+//! end, with [`best_preview_for_subset`]'s assembly, which runs on the same
+//! walk and so reports the same score bits.
+//!
+//! The merge relies on one invariant: every candidate list is sorted by
+//! descending score and every key score is ≥ 0. Each type's weighted extras
+//! `S(τ)·Sτ(γⱼ)` then form a descending run (rounding is monotone), and
+//! merging the runs — ties to the lower table position, then the lower
+//! candidate rank — reproduces exactly the order of sorting the whole extras
+//! pool, so the summed score bits match that sort's. The walk
+//! `debug_assert!`s non-negative key scores, as [`bound`] relies on the same
+//! fact.
 
 pub(crate) mod common;
 

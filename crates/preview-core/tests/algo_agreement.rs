@@ -9,12 +9,13 @@
 //! force (same earliest-strict-argmax tie-break), asserted below.
 
 use preview_core::{
-    AnytimeBudget, AprioriDiscovery, BestFirstDiscovery, BruteForceDiscovery,
-    DynamicProgrammingDiscovery, KeyScoring, NonKeyScoring, PreviewDiscovery, PreviewSpace,
-    ScoredSchema, ScoringConfig, SizeConstraint,
+    best_preview_for_subset, AnytimeBudget, AprioriDiscovery, BestFirstDiscovery,
+    BruteForceDiscovery, DynamicProgrammingDiscovery, KeyScoring, NonKeyAttr, NonKeyScoring,
+    Preview, PreviewDiscovery, PreviewSpace, PreviewTable, ScoredSchema, ScoringConfig,
+    SizeConstraint,
 };
 
-use entity_graph::{EntityGraph, EntityGraphBuilder};
+use entity_graph::{EntityGraph, EntityGraphBuilder, TypeId};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -339,4 +340,183 @@ fn anytime_agrees_with_exact_discovery_on_random_graphs() {
             }
         }
     }
+}
+
+/// The preview assembly the engines ran per subset before score-first
+/// evaluation: every table takes its top candidate, then the whole pool of
+/// remaining candidates is sorted by weighted score (ties by table position,
+/// then candidate rank) and the best `n - k` fill the remaining slots.
+fn pool_sort_assembly(
+    scored: &ScoredSchema,
+    subset: &[TypeId],
+    n: usize,
+) -> Option<(Preview, f64)> {
+    let mut per_table: Vec<Vec<NonKeyAttr>> = Vec::new();
+    let mut score = 0.0;
+    for &ty in subset {
+        let first = scored.candidates(ty).first()?;
+        per_table.push(vec![NonKeyAttr::new(first.edge, first.direction)]);
+        score += scored.key_score(ty) * first.score;
+    }
+    let mut pool: Vec<(f64, usize, usize)> = Vec::new();
+    for (pos, &ty) in subset.iter().enumerate() {
+        let key = scored.key_score(ty);
+        for (rank, cand) in scored.candidates(ty).iter().enumerate().skip(1) {
+            pool.push((key * cand.score, pos, rank));
+        }
+    }
+    pool.sort_by(|a, b| {
+        b.0.partial_cmp(&a.0)
+            .expect("scores are not NaN")
+            .then_with(|| a.1.cmp(&b.1))
+            .then_with(|| a.2.cmp(&b.2))
+    });
+    for &(weighted, pos, rank) in pool.iter().take(n - subset.len()) {
+        let cand = scored.candidates(subset[pos])[rank];
+        per_table[pos].push(NonKeyAttr::new(cand.edge, cand.direction));
+        score += weighted;
+    }
+    let tables = subset
+        .iter()
+        .zip(per_table)
+        .map(|(&ty, non_keys)| PreviewTable::new(ty, non_keys))
+        .collect();
+    Some((Preview::new(tables), score))
+}
+
+/// The reference optimum: every feasible `k`-subset of eligible types in
+/// lexicographic order, assembled by [`pool_sort_assembly`], keeping the
+/// earliest strict maximum. Also returns how many subsets tie that maximum.
+fn reference_optimum(
+    scored: &ScoredSchema,
+    space: &PreviewSpace,
+) -> (Option<(Preview, f64)>, usize) {
+    let size = space.size();
+    let k = size.tables;
+    let eligible = scored.eligible_types();
+    if k == 0 || size.non_keys < k || eligible.len() < k {
+        return (None, 0);
+    }
+    let mut best: Option<(Preview, f64)> = None;
+    let mut ties = 0;
+    let mut idx: Vec<usize> = (0..k).collect();
+    loop {
+        let subset: Vec<TypeId> = idx.iter().map(|&i| eligible[i]).collect();
+        let feasible = space.distance().is_none_or(|constraint| {
+            subset.iter().enumerate().all(|(i, &a)| {
+                subset[i + 1..]
+                    .iter()
+                    .all(|&b| constraint.pair_ok(scored.distances().distance(a, b)))
+            })
+        });
+        if let Some((preview, score)) = feasible
+            .then(|| pool_sort_assembly(scored, &subset, size.non_keys))
+            .flatten()
+        {
+            match &best {
+                Some((_, top)) if score == *top => ties += 1,
+                Some((_, top)) if score < *top => {}
+                _ => {
+                    best = Some((preview, score));
+                    ties = 1;
+                }
+            }
+        }
+        // Lexicographic successor of `idx`.
+        let Some(i) = (0..k).rev().find(|&i| idx[i] != i + eligible.len() - k) else {
+            break;
+        };
+        idx[i] += 1;
+        for j in i + 1..k {
+            idx[j] = idx[j - 1] + 1;
+        }
+    }
+    (best, ties)
+}
+
+/// Score-first evaluation is an optimisation of the assembly above, not a
+/// new definition: brute force, Apriori and best-first, sequential and at
+/// four threads, must return the reference's preview, and the winner's
+/// score must carry the reference's bits. Coverage scoring makes ties
+/// common, small schemas give types fewer candidates than the `n - k` extra
+/// slots, and the sweep covers every space with `k <= 4`, `n <= k + 4` and
+/// `d` in `1..=4`.
+#[test]
+fn score_first_engines_match_the_pool_sort_reference_bitwise() {
+    let mut tied_optima = 0;
+    let mut short_lists = 0;
+    for seed in 0..16u64 {
+        let graph = random_graph(seed, 4 + (seed as usize % 5), 2 + (seed as usize % 9), 30);
+        let scored = ScoredSchema::build(&graph, &ScoringConfig::coverage()).unwrap();
+        for k in 1..=4usize {
+            for n in k..=k + 4 {
+                short_lists += scored
+                    .eligible_types()
+                    .iter()
+                    .filter(|&&ty| scored.candidates(ty).len() < n - k)
+                    .count();
+                let mut spaces = vec![PreviewSpace::concise(k, n).unwrap()];
+                for d in 1..=4u32 {
+                    spaces.push(PreviewSpace::tight(k, n, d).unwrap());
+                    spaces.push(PreviewSpace::diverse(k, n, d).unwrap());
+                }
+                for space in spaces {
+                    let context = format!("seed={seed} {space:?}");
+                    let (expected, ties) = reference_optimum(&scored, &space);
+                    if ties > 1 {
+                        tied_optima += 1;
+                    }
+                    let mut engines: Vec<Box<dyn PreviewDiscovery>> = vec![
+                        Box::new(BruteForceDiscovery::new()),
+                        Box::new(BestFirstDiscovery::new()),
+                    ];
+                    if space.distance().is_some() {
+                        engines.push(Box::new(AprioriDiscovery::new()));
+                    }
+                    for engine in &engines {
+                        for threads in [1, 4] {
+                            let found = engine
+                                .discover_with_threads(&scored, &space, threads)
+                                .unwrap();
+                            let context = format!("{context} {} threads={threads}", engine.name());
+                            match (&expected, found) {
+                                (None, None) => {}
+                                (Some((preview, score)), Some(found)) => {
+                                    assert_eq!(&found, preview, "{context}: preview diverged");
+                                    let keys: Vec<TypeId> =
+                                        found.tables().iter().map(|t| t.key()).collect();
+                                    let (_, found_score) =
+                                        best_preview_for_subset(&scored, &keys, &space).unwrap();
+                                    assert_eq!(
+                                        found_score.to_bits(),
+                                        score.to_bits(),
+                                        "{context}: score bits diverged"
+                                    );
+                                }
+                                (expected, found) => panic!(
+                                    "{context}: feasibility diverged (reference={}, engine={})",
+                                    expected.is_some(),
+                                    found.is_some()
+                                ),
+                            }
+                        }
+                    }
+                    let anytime = BestFirstDiscovery::new()
+                        .discover_anytime(&scored, &space, AnytimeBudget::UNLIMITED)
+                        .unwrap();
+                    assert_eq!(
+                        anytime.score.to_bits(),
+                        expected.as_ref().map_or(0.0, |(_, s)| *s).to_bits(),
+                        "{context}: best-first score bits diverged"
+                    );
+                }
+            }
+        }
+    }
+    // The sweep must reach the corners the merge order matters for.
+    assert!(tied_optima > 0, "no space had a tied optimum");
+    assert!(
+        short_lists > 0,
+        "no type had fewer candidates than extra slots"
+    );
 }

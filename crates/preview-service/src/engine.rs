@@ -135,7 +135,7 @@ impl Shared {
             space: request.space,
             algorithm,
         };
-        let (cached, cache_hit) = self.lookup_or_compute(request, &key)?;
+        let (cached, cache_hit) = self.lookup_or_compute(request, &graph, &key)?;
         Ok(PreviewResponse {
             graph: key.graph,
             version: key.version,
@@ -194,6 +194,7 @@ impl Shared {
     fn lookup_or_compute(
         &self,
         request: &PreviewRequest,
+        graph: &RegisteredGraph,
         key: &CacheKey,
     ) -> ServiceResult<(Arc<CachedPreview>, bool)> {
         if let Some(cache) = &self.cache {
@@ -210,7 +211,7 @@ impl Shared {
         let outcome = slot
             .get_or_init(|| {
                 computed = true;
-                self.compute(request, key)
+                self.compute(request, graph, key)
             })
             .clone();
         // First finisher retires the slot so the map cannot grow; later
@@ -226,7 +227,10 @@ impl Shared {
         outcome.map(|cached| (cached, !computed))
     }
 
-    /// Runs scoring + discovery and publishes the result to the LRU cache.
+    /// Runs scoring + discovery on `graph` — the version `key` names, as
+    /// [`execute`](Self::execute) resolved it — and publishes the result to
+    /// the LRU cache. Resolving "latest" again here would let a publish that
+    /// lands in between label and cache version v with v + 1's answer.
     ///
     /// Discovery honours the request's
     /// [`ScoringConfig::threads`](preview_core::ScoringConfig::threads) knob
@@ -238,6 +242,7 @@ impl Shared {
     fn compute(
         &self,
         request: &PreviewRequest,
+        graph: &RegisteredGraph,
         key: &CacheKey,
     ) -> ServiceResult<Arc<CachedPreview>> {
         let _discovery = preview_obs::span!(Stage::Discovery);
@@ -251,7 +256,6 @@ impl Shared {
             // lint: allow(request-path-unwrap, deliberate fault injection exercising the panic-dump path)
             panic!("injected test panic");
         }
-        let graph = self.registry.resolve(&request.graph, request.version)?;
         let scored = graph.scored_for(&request.scoring)?;
         let preview = {
             let _algorithm =
@@ -636,8 +640,10 @@ impl PreviewService {
     /// Propagates [`GraphRegistry::publish_delta`] errors; the cache is only
     /// touched after the registry publish succeeded.
     pub fn publish_delta(&self, name: &str, delta: &GraphDelta) -> ServiceResult<PublishReport> {
-        // lint: allow(wall-clock, publish-latency measurement feeds the obs snapshot only)
-        let publish_start = Instant::now();
+        // The registry's span is the one `publish` stage record per call;
+        // attaching makes it (and its sub-stages) land in this service's
+        // recorder from any publishing thread, attached or not.
+        let _attach = self.shared.obs.attach();
         let publish = self.shared.registry.publish_delta(name, delta)?;
         let mut carried_forward = 0u64;
         let mut invalidated = 0u64;
@@ -687,11 +693,6 @@ impl PreviewService {
             obs.add_counter(Counter::PublishTouchedShards, publish.touched_shards as u64);
             obs.add_counter(Counter::CacheCarried, carried_forward);
             obs.add_counter(Counter::CacheInvalidated, invalidated);
-            // The publisher thread is usually not a worker (no attachment),
-            // so record the stage duration directly when enabled.
-            if obs.is_enabled() {
-                obs.record_duration(Stage::Publish, publish_start.elapsed());
-            }
         }
         Ok(PublishReport {
             graph: name.to_string(),
@@ -1260,6 +1261,97 @@ mod tests {
         let dumps = recorder.dumps();
         assert_eq!(dumps.len(), 1);
         assert_eq!(dumps[0].reason, "slow");
+    }
+
+    /// A publish that lands while a cold request computes must not leak into
+    /// it: `execute` keyed the request to version v, so both the reply and
+    /// the cache entry for v hold v's answer, not v + 1's.
+    #[test]
+    fn publish_during_compute_keeps_the_resolved_version() {
+        let registry = Arc::new(GraphRegistry::new());
+        registry.register("fig1", fixtures::figure1_graph());
+        let service = PreviewService::start(ServiceConfig::with_workers(1), Arc::clone(&registry));
+        let request = crate::PreviewRequest::new("fig1", PreviewSpace::concise(2, 6).unwrap());
+        let v1 = registry.resolve("fig1", None).unwrap();
+        let algorithm = request
+            .algorithm
+            .resolve_for(&request.space, v1.graph().schema_graph().type_count());
+        let scored = v1.scored_for(&request.scoring).unwrap();
+        let expected = algorithm
+            .discovery()
+            .discover(&scored, &request.space)
+            .unwrap()
+            .unwrap();
+        let expected_bits = scored.preview_score(&expected).to_bits();
+
+        service.inject_delay_next(200_000);
+        let pending = service.submit(request.clone()).unwrap();
+        // The worker takes the delay on entering `compute`, after `execute`
+        // resolved version 1 and built its cache key.
+        while service.shared.inject_delay_us.load(Ordering::SeqCst) != 0 {
+            thread::sleep(Duration::from_millis(1));
+        }
+        let mut delta = GraphDelta::new();
+        delta.add_entity("Bad Boys", &["FILM"]).add_edge(
+            "Will Smith",
+            "Actor",
+            "Bad Boys",
+            "FILM ACTOR",
+            "FILM",
+        );
+        assert_eq!(service.publish_delta("fig1", &delta).unwrap().version, 2);
+
+        let response = pending.wait().unwrap();
+        assert_eq!(response.version, 1);
+        assert_eq!(response.preview.as_ref(), Some(&expected));
+        assert_eq!(response.score.to_bits(), expected_bits);
+        let cached = service
+            .execute_inline(&request.clone().with_version(1))
+            .unwrap();
+        assert!(cached.cache_hit);
+        assert_eq!(cached.preview.as_ref(), Some(&expected));
+        assert_eq!(cached.score.to_bits(), expected_bits);
+        // Version 2 answers differently, so a skew could not hide.
+        let latest = service.submit_wait(request).unwrap();
+        assert_eq!(latest.version, 2);
+        assert_ne!(latest.score.to_bits(), expected_bits);
+    }
+
+    /// One `publish` stage record and one `publishes` count per bump, whether
+    /// or not the publishing thread is attached to the service's recorder.
+    #[test]
+    fn publish_stage_counts_once_per_bump_from_any_thread() {
+        for attached in [false, true] {
+            let registry = Arc::new(GraphRegistry::new());
+            registry.register("fig1", fixtures::figure1_graph());
+            let recorder = Arc::new(Recorder::default());
+            recorder.enable();
+            let service = PreviewService::start_with_recorder(
+                ServiceConfig::with_workers(1),
+                registry,
+                Arc::clone(&recorder),
+            );
+            let attachment = attached.then(|| recorder.attach());
+            let mut bumps = 0;
+            for film in ["Bad Boys", "Bad Boys II"] {
+                let mut delta = GraphDelta::new();
+                delta.add_entity(film, &["FILM"]);
+                bumps += u64::from(service.publish_delta("fig1", &delta).unwrap().bumped);
+            }
+            drop(attachment);
+            recorder.disable();
+            assert_eq!(bumps, 2, "attached={attached}");
+            assert_eq!(
+                recorder.stage_histogram(Stage::Publish).count(),
+                bumps,
+                "attached={attached}"
+            );
+            assert_eq!(
+                recorder.counter(Counter::Publishes),
+                bumps,
+                "attached={attached}"
+            );
+        }
     }
 
     #[test]
