@@ -61,13 +61,6 @@ echo "==> obs-bench smoke workload (emits BENCH_obs.json)"
 cargo run --release -p bench --bin obs-bench -- \
     --out BENCH_obs.json --check
 
-echo "==> parallel-bench smoke workload (emits BENCH_parallel.json)"
-# Sequential vs 4-thread discovery, bitwise-identical outputs enforced.
-# Speedup floors are host-aware (full 1.5x discovery floor with >= 4 cores,
-# bounded-overhead floor on starved hosts); see the binary's docs.
-cargo run --release -p bench --bin parallel-bench -- \
-    --threads 4 --out BENCH_parallel.json --check
-
 echo "==> anytime-bench smoke workload (emits BENCH_anytime.json)"
 # Best-first branch-and-bound vs brute-force enumeration. Bitwise identity
 # on the exact path is enforced on every space; the pruning gate requires

@@ -9,7 +9,7 @@
 //! measures:
 //!
 //! * synthetic generation + builder freeze (the ingestion path),
-//! * parallel sharded build ([`preview_core::build_sharded`]),
+//! * parallel sharded build ([`ShardedGraph::from_graph`]),
 //! * entropy scoring from sharded storage, cross-checked **bitwise** against
 //!   the unsharded scorer (enforced at every factor),
 //! * a registry `publish_delta` against the sharded version, cross-checked
@@ -144,8 +144,7 @@ fn run_tier(options: &Options, strategy: ShardingStrategy, factor: u64) -> Resul
     );
 
     let graph = Arc::new(graph);
-    let (sharded, shard_build_t) =
-        timed(|| preview_core::build_sharded(Arc::clone(&graph), strategy, 0));
+    let (sharded, shard_build_t) = timed(|| ShardedGraph::from_graph(Arc::clone(&graph), strategy));
     let shard_build_s = shard_build_t.as_secs_f64();
     let build_edges_per_s = edges as f64 / shard_build_s.max(1e-9);
 
@@ -154,7 +153,7 @@ fn run_tier(options: &Options, strategy: ShardingStrategy, factor: u64) -> Resul
     // Entropy from sharded storage, cross-checked bitwise at every factor.
     let schema = graph.schema_graph().clone();
     let (sharded_scores, entropy_sharded_t) =
-        timed(|| preview_core::sharded_entropy_scores_with(&sharded, &schema, 0));
+        timed(|| preview_core::sharded_entropy_scores(&sharded, &schema));
     let (unsharded_scores, entropy_unsharded_t) =
         timed(|| preview_core::scoring::entropy_scores(&graph, &schema));
     let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();

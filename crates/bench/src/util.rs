@@ -2,6 +2,8 @@
 
 use std::time::{Duration, Instant};
 
+use datagen::spec::levenshtein;
+
 /// A simple fixed-width text table builder for paper-style output.
 #[derive(Debug, Clone, Default)]
 pub struct TextTable {
@@ -125,24 +127,6 @@ pub fn format_millis(duration: Duration) -> String {
     }
 }
 
-/// Levenshtein edit distance between two ASCII-ish names (insertions,
-/// deletions and substitutions all cost 1). Used for CLI "did you mean"
-/// suggestions.
-pub fn levenshtein(a: &str, b: &str) -> usize {
-    let a: Vec<char> = a.chars().collect();
-    let b: Vec<char> = b.chars().collect();
-    let mut previous: Vec<usize> = (0..=b.len()).collect();
-    for (i, &ca) in a.iter().enumerate() {
-        let mut current = vec![i + 1];
-        for (j, &cb) in b.iter().enumerate() {
-            let substitution = previous[j] + usize::from(ca != cb);
-            current.push(substitution.min(previous[j + 1] + 1).min(current[j] + 1));
-        }
-        previous = current;
-    }
-    previous[b.len()]
-}
-
 /// The candidates closest to `name` by edit distance, nearest first, keeping
 /// only those within `max_distance` (ties keep candidate order).
 pub fn closest_matches<'a>(
@@ -226,15 +210,6 @@ mod tests {
         assert_eq!(format_millis(Duration::from_micros(10)), "1");
         assert_eq!(format_millis(Duration::from_millis(2)), "2.0");
         assert_eq!(format_millis(Duration::from_millis(1500)), "1500");
-    }
-
-    #[test]
-    fn levenshtein_counts_edits() {
-        assert_eq!(levenshtein("table3", "table3"), 0);
-        assert_eq!(levenshtein("tabel3", "table3"), 2);
-        assert_eq!(levenshtein("fig5", "fig15"), 1);
-        assert_eq!(levenshtein("", "abc"), 3);
-        assert_eq!(levenshtein("abc", ""), 3);
     }
 
     #[test]

@@ -217,12 +217,10 @@ impl DomainSpec {
     }
 }
 
-/// Levenshtein edit distance over `char`s, for did-you-mean suggestions.
-///
-/// Duplicated from the bench crate's experiments-CLI helper rather than
-/// imported: bench depends on datagen, so the dependency can't point the
-/// other way.
-fn levenshtein(a: &str, b: &str) -> usize {
+/// Levenshtein edit distance over `char`s (insertions, deletions and
+/// substitutions all cost 1), for did-you-mean suggestions here and in the
+/// experiments CLI.
+pub fn levenshtein(a: &str, b: &str) -> usize {
     let a: Vec<char> = a.chars().collect();
     let b: Vec<char> = b.chars().collect();
     let mut prev: Vec<usize> = (0..=b.len()).collect();
@@ -396,5 +394,9 @@ mod tests {
         assert_eq!(levenshtein("abc", "abc"), 0);
         assert_eq!(levenshtein("abc", ""), 3);
         assert_eq!(levenshtein("kitten", "sitting"), 3);
+        assert_eq!(levenshtein("table3", "table3"), 0);
+        assert_eq!(levenshtein("tabel3", "table3"), 2);
+        assert_eq!(levenshtein("fig5", "fig15"), 1);
+        assert_eq!(levenshtein("", "abc"), 3);
     }
 }

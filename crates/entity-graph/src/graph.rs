@@ -201,9 +201,7 @@ impl EntityGraph {
     /// The result is sorted and de-duplicated (attribute values are sets) and
     /// borrows directly from the pre-grouped CSR index: the hot path of
     /// entropy scoring and tuple materialisation performs no allocation, no
-    /// edge scan and no sort. Use
-    /// [`neighbors_via_owned`](Self::neighbors_via_owned) when an owned `Vec`
-    /// is genuinely required.
+    /// edge scan and no sort.
     #[inline]
     pub fn neighbors_via(
         &self,
@@ -241,18 +239,6 @@ impl EntityGraph {
         let (out_payload, out_total) = self.out_neighbors.heap_bytes();
         let (in_payload, in_total) = self.in_neighbors.heap_bytes();
         (out_payload + in_payload, out_total + in_total)
-    }
-
-    /// Compatibility shim over [`neighbors_via`](Self::neighbors_via) for
-    /// callers that need to own the neighbor set (one copy, still no scan or
-    /// sort).
-    pub fn neighbors_via_owned(
-        &self,
-        entity: EntityId,
-        rel: RelTypeId,
-        direction: Direction,
-    ) -> Vec<EntityId> {
-        self.neighbors_via(entity, rel, direction).to_vec()
     }
 
     /// Validates that an entity id is in range.
@@ -432,11 +418,6 @@ mod tests {
         assert_eq!(actors, &[smith]);
         // No outgoing "Actor" edges from a film.
         assert!(g.neighbors_via(mib, acted, Direction::Outgoing).is_empty());
-        // The owned shim returns the same set.
-        assert_eq!(
-            g.neighbors_via_owned(smith, acted, Direction::Outgoing),
-            films.to_vec()
-        );
     }
 
     #[test]

@@ -19,15 +19,16 @@
 //! * [`MemoryReport`] accounts the bytes of every shard and the total,
 //!   against the unsharded index footprint.
 //!
-//! Shards are fully independent after planning: builds and delta re-splices
-//! parallelize per shard (see `from_graph_with` / `apply_delta_with`, which
-//! `preview-core` drives on its fork-join pool), and all derived results —
-//! decoded neighbor sets, entropy scores, delta outcomes — are **bitwise
-//! identical** to the unsharded path, because the encoding is canonical and
-//! shard membership is deterministic.
+//! Shards are fully independent after planning, so builds and delta
+//! re-splices run one shard per task on a few scoped threads, and all derived
+//! results — decoded neighbor sets, entropy scores, delta outcomes — are
+//! **bitwise identical** to the unsharded path, because the encoding is
+//! canonical and shard membership is deterministic.
 
 use std::fmt;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock};
+use std::thread;
 
 use crate::csr::Csr;
 use crate::delta::{DeltaOp, DeltaSummary, GraphDelta};
@@ -406,44 +407,16 @@ pub struct ShardedGraph {
 }
 
 impl ShardedGraph {
-    /// Shards `graph` under `strategy`, building every shard sequentially.
-    ///
-    /// Use [`from_graph_with`](Self::from_graph_with) (as `preview-core`'s
-    /// `build_sharded` does) to build shards in parallel.
+    /// Shards `graph` under `strategy`. The shards build in parallel, one
+    /// shard per task on at most `available_parallelism` scoped threads; the
+    /// result does not depend on how the tasks were scheduled.
     pub fn from_graph(graph: Arc<EntityGraph>, strategy: ShardingStrategy) -> Self {
-        Self::from_graph_with(graph, strategy, |count, build| {
-            (0..count).map(build).collect()
-        })
-    }
-
-    /// Shards `graph` under `strategy`, delegating per-shard construction to
-    /// `run`: it receives the shard count and a `Sync` per-shard build
-    /// function, and must return the built shards **in shard order**
-    /// (`(0..count).map(build).collect()` is the sequential reference).
-    ///
-    /// Shards are independent, so `run` may invoke the build function for
-    /// different indexes from different threads; the result is identical to
-    /// the sequential path regardless of schedule. This inversion keeps the
-    /// storage crate free of any threading runtime while letting
-    /// `preview-core` drive the build on its fork-join pool.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `run` returns a different number of shards.
-    pub fn from_graph_with<R>(graph: Arc<EntityGraph>, strategy: ShardingStrategy, run: R) -> Self
-    where
-        R: FnOnce(usize, &(dyn Fn(usize) -> GraphShard + Sync)) -> Vec<GraphShard>,
-    {
         let mut span = preview_obs::span!(preview_obs::Stage::ShardedBuild);
         let (directory, members) = plan(&graph, strategy);
         span.set_attr(members.len() as u64);
-        let build = |shard: usize| GraphShard::build(&graph, &members[shard]);
-        let shards = run(members.len(), &build);
-        assert_eq!(
-            shards.len(),
-            members.len(),
-            "shard runner must return one shard per plan entry"
-        );
+        let shards = build_shards(members.len(), |shard| {
+            GraphShard::build(&graph, &members[shard])
+        });
         Self {
             graph,
             strategy,
@@ -510,34 +483,16 @@ impl ShardedGraph {
     /// delta provably did not touch.
     ///
     /// The result equals [`from_graph`](Self::from_graph) on the spliced
-    /// logical graph, field for field (`tests/shard_props.rs` enforces this
-    /// under random update streams). Use
-    /// [`apply_delta_with`](Self::apply_delta_with) to re-splice shards in
-    /// parallel.
+    /// logical graph, field for field
+    /// (`encoding_props.rs::sharded_apply_delta_matches_reshard_from_scratch`
+    /// enforces this under random deltas). Shards re-splice in parallel, like
+    /// a build.
     ///
     /// # Errors
     ///
     /// Exactly those of [`EntityGraph::apply_delta`]; a failed batch leaves
     /// this version untouched.
     pub fn apply_delta(&self, delta: &GraphDelta) -> Result<AppliedShardedDelta> {
-        self.apply_delta_with(delta, |count, build| (0..count).map(build).collect())
-    }
-
-    /// [`apply_delta`](Self::apply_delta) with per-shard re-splicing
-    /// delegated to `run` (same contract as
-    /// [`from_graph_with`](Self::from_graph_with)).
-    ///
-    /// # Errors
-    ///
-    /// Exactly those of [`EntityGraph::apply_delta`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `run` returns a different number of shards.
-    pub fn apply_delta_with<R>(&self, delta: &GraphDelta, run: R) -> Result<AppliedShardedDelta>
-    where
-        R: FnOnce(usize, &(dyn Fn(usize) -> GraphShard + Sync)) -> Vec<GraphShard>,
-    {
         let applied = self.graph.apply_delta(delta)?;
         let summary = applied.summary;
         let new_graph = Arc::new(applied.graph);
@@ -572,7 +527,7 @@ impl ShardedGraph {
         };
         let mut span = preview_obs::span!(preview_obs::Stage::ShardSplice);
         span.set_attr(touched_shards as u64);
-        let build = |shard: usize| -> GraphShard {
+        let shards = build_shards(members.len(), |shard| {
             if identity {
                 GraphShard::build_inner(
                     &new_graph,
@@ -582,13 +537,7 @@ impl ShardedGraph {
             } else {
                 GraphShard::build(&new_graph, &members[shard])
             }
-        };
-        let shards = run(members.len(), &build);
-        assert_eq!(
-            shards.len(),
-            members.len(),
-            "shard runner must return one shard per plan entry"
-        );
+        });
         Ok(AppliedShardedDelta {
             sharded: ShardedGraph {
                 graph: new_graph,
@@ -640,6 +589,49 @@ impl PartialEq for ShardedGraph {
             && self.shards == other.shards
             && *self.graph == *other.graph
     }
+}
+
+/// Builds shards `0..count` with `build` on `min(available_parallelism,
+/// count)` scoped threads, the caller included.
+///
+/// Workers claim shard indices one at a time from a shared cursor, so a
+/// worker that draws cheap block-copied shards takes more of them than one
+/// that draws rebuilt shards. Each shard is stored at its own index, so the
+/// result is `(0..count).map(build).collect()` whatever the schedule.
+fn build_shards<F>(count: usize, build: F) -> Vec<GraphShard>
+where
+    F: Fn(usize) -> GraphShard + Sync,
+{
+    static PARALLELISM: OnceLock<usize> = OnceLock::new();
+    let parallelism =
+        *PARALLELISM.get_or_init(|| thread::available_parallelism().map_or(1, |n| n.get()));
+    let workers = parallelism.min(count);
+    if workers <= 1 {
+        return (0..count).map(build).collect();
+    }
+    let cursor = AtomicUsize::new(0);
+    let slots: Vec<OnceLock<GraphShard>> = (0..count).map(|_| OnceLock::new()).collect();
+    let run = || loop {
+        // lint: ordering-ok(the cursor only hands out distinct indices; the scope join publishes the shards)
+        let index = cursor.fetch_add(1, Ordering::Relaxed);
+        let Some(slot) = slots.get(index) else {
+            break;
+        };
+        let _ = slot.set(build(index));
+    };
+    thread::scope(|scope| {
+        for _ in 1..workers {
+            scope.spawn(run);
+        }
+        run();
+    });
+    slots
+        .into_iter()
+        .map(|slot| {
+            slot.into_inner()
+                .expect("every shard index is claimed once")
+        })
+        .collect()
 }
 
 /// Conservative over-approximation of the **new-graph** entities whose
@@ -754,18 +746,19 @@ mod tests {
     }
 
     #[test]
-    fn from_graph_with_runner_order_is_respected() {
-        let graph = Arc::new(fixtures::figure1_graph());
-        let strategy = ShardingStrategy::ByIdHash { shards: 5 };
-        let sequential = ShardedGraph::from_graph(Arc::clone(&graph), strategy);
-        // A runner that builds shards in reverse still returns them in order.
-        let reversed = ShardedGraph::from_graph_with(Arc::clone(&graph), strategy, |n, build| {
-            let mut shards: Vec<(usize, GraphShard)> =
-                (0..n).rev().map(|i| (i, build(i))).collect();
-            shards.sort_by_key(|(i, _)| *i);
-            shards.into_iter().map(|(_, s)| s).collect()
-        });
-        assert_eq!(sequential, reversed);
+    fn build_shards_matches_a_sequential_build() {
+        let graph = fixtures::figure1_graph();
+        for shards in [1, 2, 7, 64] {
+            let (_, members) = plan(&graph, ShardingStrategy::ByIdHash { shards });
+            let sequential: Vec<GraphShard> = members
+                .iter()
+                .map(|shard_members| GraphShard::build(&graph, shard_members))
+                .collect();
+            let built = build_shards(members.len(), |shard| {
+                GraphShard::build(&graph, &members[shard])
+            });
+            assert_eq!(built, sequential, "{shards} shards");
+        }
     }
 
     #[test]

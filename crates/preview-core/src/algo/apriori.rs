@@ -8,17 +8,11 @@
 //! the distance constraint. Every `k`-subset that survives is scored via
 //! Theorem 3 without building its preview, and only the best one is
 //! assembled.
-//!
-//! Both the level-wise join (independent per prefix group) and the final
-//! per-subset scoring are embarrassingly parallel; they fan out
-//! across the fork-join pool with index-ordered merges, so the result is
-//! byte-identical to the sequential scan at any thread count.
 
-use crate::algo::common::{earliest_max, eligible_views, preview_at, space_is_empty, walk_subset};
+use crate::algo::common::{eligible_views, preview_at, space_is_empty, walk_subset};
 use crate::algo::PreviewDiscovery;
 use crate::constraint::{DistanceConstraint, PreviewSpace};
 use crate::error::{Error, Result};
-use crate::par::FjPool;
 use crate::preview::Preview;
 use crate::scoring::ScoredSchema;
 
@@ -38,12 +32,7 @@ impl PreviewDiscovery for AprioriDiscovery {
         "apriori"
     }
 
-    fn discover_with_threads(
-        &self,
-        scored: &ScoredSchema,
-        space: &PreviewSpace,
-        threads: usize,
-    ) -> Result<Option<Preview>> {
+    fn discover(&self, scored: &ScoredSchema, space: &PreviewSpace) -> Result<Option<Preview>> {
         let constraint = match space.distance() {
             Some(c) => c,
             None => {
@@ -61,32 +50,20 @@ impl PreviewDiscovery for AprioriDiscovery {
         let k = size.tables;
         let extras = size.non_keys - k;
         let views = eligible_views(scored);
-        let subsets = candidate_subsets(scored, constraint, k, threads);
-        // Score the surviving subsets in contiguous chunks, keeping each
-        // chunk's earliest strict maximum by subset index; merged in chunk
-        // order, that equals the sequential scan.
-        let winner = FjPool::global()
-            .map_chunked(threads, subsets.len() / k, |range| {
-                let mut taken = Vec::with_capacity(k);
-                let mut best: Option<(f64, usize)> = None;
-                let chunk = subsets[range.start * k..range.end * k].chunks_exact(k);
-                for (index, subset) in range.zip(chunk) {
-                    let table = |pos: usize| views[subset[pos] as usize];
-                    if let Some(score) = walk_subset(k, table, extras, &mut taken) {
-                        if best.is_none_or(|(top, _)| score > top) {
-                            best = Some((score, index));
-                        }
-                    }
+        let subsets = candidate_subsets(scored, constraint, k);
+        // Keep the earliest strict maximum in subset order.
+        let mut taken = Vec::with_capacity(k);
+        let mut best: Option<(f64, &[u32])> = None;
+        for subset in subsets.chunks_exact(k) {
+            let table = |pos: usize| views[subset[pos] as usize];
+            if let Some(score) = walk_subset(k, table, extras, &mut taken) {
+                if best.is_none_or(|(top, _)| score > top) {
+                    best = Some((score, subset));
                 }
-                best
-            })
-            .into_iter()
-            .flatten()
-            .reduce(earliest_max);
-        Ok(winner.and_then(|(_, index)| {
-            let subset = &subsets[index * k..(index + 1) * k];
-            preview_at(scored, subset.iter().map(|&i| i as usize), size)
-        }))
+            }
+        }
+        Ok(best
+            .and_then(|(_, subset)| preview_at(scored, subset.iter().map(|&i| i as usize), size)))
     }
 }
 
@@ -95,65 +72,48 @@ impl PreviewDiscovery for AprioriDiscovery {
 /// flat vector with stride `k`.
 ///
 /// Every level is flat the same way, in lexicographic order with the level's
-/// subset size as its stride: L2 is generated per first index, later
-/// levels per shared-prefix group — both fan out across the fork-join pool
-/// and concatenate their per-group output in group order, so the generated
-/// candidate list is identical to the sequential join at any thread count.
-fn candidate_subsets(
-    scored: &ScoredSchema,
-    constraint: DistanceConstraint,
-    k: usize,
-    threads: usize,
-) -> Vec<u32> {
+/// subset size as its stride.
+fn candidate_subsets(scored: &ScoredSchema, constraint: DistanceConstraint, k: usize) -> Vec<u32> {
     let eligible = scored.eligible_types();
     let distances = scored.distances();
     let pair_ok = |a: u32, b: u32| -> bool {
         constraint.pair_ok(distances.distance(eligible[a as usize], eligible[b as usize]))
     };
-    let pool = FjPool::global();
     let count = eligible.len() as u32;
 
     if k == 1 {
         return (0..count).collect();
     }
 
-    // L2: all ordered pairs (i < j) satisfying the constraint, grouped (and
-    // parallelized) by their first index.
-    let firsts: Vec<u32> = (0..count).collect();
-    let mut level: Vec<u32> = pool
-        .map(threads, &firsts, |_, &i| {
-            ((i + 1)..count)
-                .filter(|&j| pair_ok(i, j))
-                .flat_map(|j| [i, j])
-                .collect::<Vec<_>>()
-        })
-        .concat();
+    // L2: all ordered pairs (i < j) satisfying the constraint.
+    let mut level: Vec<u32> = Vec::new();
+    for i in 0..count {
+        for j in (i + 1)..count {
+            if pair_ok(i, j) {
+                level.extend([i, j]);
+            }
+        }
+    }
 
     let mut size = 2;
     while size < k && !level.is_empty() {
         // Join pairs of subsets sharing all but their last element. The level
         // is in lexicographic order, so subsets with a common prefix are
-        // adjacent: one scan finds the groups, then every group joins
-        // independently.
+        // adjacent.
         let subsets: Vec<&[u32]> = level.chunks_exact(size).collect();
-        let groups: Vec<&[&[u32]]> = subsets
-            .chunk_by(|a, b| a[..size - 1] == b[..size - 1])
-            .collect();
-        level = pool
-            .map(threads, &groups, |_, group| {
-                let mut joined = Vec::new();
-                for (a, first) in group.iter().enumerate() {
-                    for second in &group[a + 1..] {
-                        let last = second[size - 1];
-                        if pair_ok(first[size - 1], last) {
-                            joined.extend_from_slice(first);
-                            joined.push(last);
-                        }
+        let mut joined = Vec::new();
+        for group in subsets.chunk_by(|a, b| a[..size - 1] == b[..size - 1]) {
+            for (a, first) in group.iter().enumerate() {
+                for second in &group[a + 1..] {
+                    let last = second[size - 1];
+                    if pair_ok(first[size - 1], last) {
+                        joined.extend_from_slice(first);
+                        joined.push(last);
                     }
                 }
-                joined
-            })
-            .concat();
+            }
+        }
+        level = joined;
         size += 1;
     }
 
@@ -250,26 +210,6 @@ mod tests {
             .discover(&scored, &space)
             .unwrap()
             .is_none());
-    }
-
-    #[test]
-    fn parallel_discovery_is_byte_identical_to_sequential() {
-        let scored = scored(ScoringConfig::coverage());
-        for space in [
-            PreviewSpace::tight(2, 6, 2).unwrap(),
-            PreviewSpace::tight(3, 6, 10).unwrap(),
-            PreviewSpace::diverse(2, 6, 2).unwrap(),
-        ] {
-            let sequential = AprioriDiscovery::new()
-                .discover_with_threads(&scored, &space, 1)
-                .unwrap();
-            for threads in [0, 2, 4, 16] {
-                let parallel = AprioriDiscovery::new()
-                    .discover_with_threads(&scored, &space, threads)
-                    .unwrap();
-                assert_eq!(parallel, sequential, "threads={threads} {space:?}");
-            }
-        }
     }
 
     #[test]

@@ -84,17 +84,7 @@ impl PreviewDiscovery for BestFirstDiscovery {
         "best-first"
     }
 
-    /// The search is inherently sequential — every expansion decision depends
-    /// on the incumbent produced by earlier ones — so the thread budget is
-    /// accepted for interface parity and ignored: the result is trivially
-    /// byte-identical across all `threads` values. The speedup over
-    /// enumeration comes from bound pruning, not cores.
-    fn discover_with_threads(
-        &self,
-        scored: &ScoredSchema,
-        space: &PreviewSpace,
-        _threads: usize,
-    ) -> Result<Option<Preview>> {
+    fn discover(&self, scored: &ScoredSchema, space: &PreviewSpace) -> Result<Option<Preview>> {
         let outcome = self.discover_anytime(scored, space, AnytimeBudget::UNLIMITED)?;
         debug_assert!(outcome.exact);
         Ok(outcome.preview)

@@ -8,20 +8,13 @@
 //! `O(K·N·logN + C(K,k)·k·n)`, exponential in `k` — the paper uses this
 //! algorithm as the baseline that the DP and Apriori algorithms beat by orders
 //! of magnitude (Figs. 8–9).
-//!
-//! The enumeration is decomposed by the subset's first (smallest) eligible
-//! index: each first index scans its lexicographic suffix combinations
-//! independently, so the groups fan out across the fork-join pool while the
-//! index-ordered merge keeps the winner — and thus the output — byte-identical
-//! to the one-loop sequential scan.
 
 use crate::algo::common::{
-    earliest_max, eligible_views, next_combination, preview_at, space_is_empty, walk_subset,
+    eligible_views, next_combination, preview_at, space_is_empty, walk_subset,
 };
 use crate::algo::PreviewDiscovery;
 use crate::constraint::PreviewSpace;
 use crate::error::Result;
-use crate::par::FjPool;
 use crate::preview::Preview;
 use crate::scoring::ScoredSchema;
 
@@ -41,12 +34,7 @@ impl PreviewDiscovery for BruteForceDiscovery {
         "brute-force"
     }
 
-    fn discover_with_threads(
-        &self,
-        scored: &ScoredSchema,
-        space: &PreviewSpace,
-        threads: usize,
-    ) -> Result<Option<Preview>> {
+    fn discover(&self, scored: &ScoredSchema, space: &PreviewSpace) -> Result<Option<Preview>> {
         let size = space.size();
         if space_is_empty(scored, size) {
             return Ok(None);
@@ -57,42 +45,33 @@ impl PreviewDiscovery for BruteForceDiscovery {
         let views = eligible_views(scored);
         let k = size.tables;
         let extras = size.non_keys - k;
-        // One work unit per first (smallest) subset index; together they
-        // enumerate exactly the lexicographic order of the one-loop scan.
-        let firsts: Vec<usize> = (0..=eligible.len() - k).collect();
-        let per_first = FjPool::global().map(threads, &firsts, |_, &first| {
-            let mut subset: Vec<usize> = (first..first + k).collect();
-            let mut best: Option<f64> = None;
-            let mut best_subset = subset.clone();
-            let mut taken = Vec::with_capacity(k);
-            loop {
-                let feasible = distance_constraint.is_none_or(|constraint| {
-                    subset.iter().enumerate().all(|(i, &a)| {
-                        subset[i + 1..].iter().all(|&b| {
-                            constraint.pair_ok(distances.distance(eligible[a], eligible[b]))
-                        })
-                    })
-                });
-                if feasible {
-                    let table = |pos: usize| views[subset[pos]];
-                    if let Some(score) = walk_subset(k, table, extras, &mut taken) {
-                        // A later subset must score strictly higher to win.
-                        if best.is_none_or(|top| score > top) {
-                            best = Some(score);
-                            best_subset.copy_from_slice(&subset);
-                        }
+        let mut subset: Vec<usize> = (0..k).collect();
+        let mut best: Option<f64> = None;
+        let mut best_subset = subset.clone();
+        let mut taken = Vec::with_capacity(k);
+        loop {
+            let feasible = distance_constraint.is_none_or(|constraint| {
+                subset.iter().enumerate().all(|(i, &a)| {
+                    subset[i + 1..]
+                        .iter()
+                        .all(|&b| constraint.pair_ok(distances.distance(eligible[a], eligible[b])))
+                })
+            });
+            if feasible {
+                let table = |pos: usize| views[subset[pos]];
+                if let Some(score) = walk_subset(k, table, extras, &mut taken) {
+                    // A later subset must score strictly higher to win.
+                    if best.is_none_or(|top| score > top) {
+                        best = Some(score);
+                        best_subset.copy_from_slice(&subset);
                     }
                 }
-                if !next_combination(&mut subset[1..], eligible.len()) {
-                    break;
-                }
             }
-            best.map(|score| (score, best_subset))
-        });
-        // Per-first winners merged in first-index order keep the
-        // earliest-strict-argmax of the sequential scan.
-        let winner = per_first.into_iter().flatten().reduce(earliest_max);
-        Ok(winner.and_then(|(_, subset)| preview_at(scored, subset, size)))
+            if !next_combination(&mut subset, eligible.len()) {
+                break;
+            }
+        }
+        Ok(best.and_then(|_| preview_at(scored, best_subset, size)))
     }
 }
 
@@ -180,26 +159,6 @@ mod tests {
             .discover(&scored, &space)
             .unwrap()
             .is_none());
-    }
-
-    #[test]
-    fn parallel_discovery_is_byte_identical_to_sequential() {
-        let scored = scored();
-        for space in [
-            PreviewSpace::concise(2, 6).unwrap(),
-            PreviewSpace::tight(3, 6, 2).unwrap(),
-            PreviewSpace::diverse(2, 6, 2).unwrap(),
-        ] {
-            let sequential = BruteForceDiscovery::new()
-                .discover_with_threads(&scored, &space, 1)
-                .unwrap();
-            for threads in [0, 2, 4, 16] {
-                let parallel = BruteForceDiscovery::new()
-                    .discover_with_threads(&scored, &space, threads)
-                    .unwrap();
-                assert_eq!(parallel, sequential, "threads={threads} {space:?}");
-            }
-        }
     }
 
     #[test]

@@ -37,27 +37,15 @@ pub(crate) fn space_is_empty(scored: &ScoredSchema, size: SizeConstraint) -> boo
     size.tables == 0 || size.non_keys < size.tables || scored.eligible_types().len() < size.tables
 }
 
-/// Merges two scored winners found in index order, keeping the earlier
-/// unless the later scores *strictly* higher — the tie-break of the
-/// sequential enumeration (earliest-strict-argmax). It is associative, so
-/// per-chunk winners merged in chunk order equal the full sequential scan.
-pub(crate) fn earliest_max<T>(earlier: (f64, T), later: (f64, T)) -> (f64, T) {
-    if later.0 > earlier.0 {
-        later
-    } else {
-        earlier
-    }
-}
-
 /// Whether a freshly evaluated subset replaces the current incumbent under
 /// the sequential enumeration's tie-break, for algorithms that do **not**
 /// visit subsets in lexicographic order (best-first search pops by bound).
 ///
-/// The sequential scan keeps the *first* subset in lexicographic order that
-/// attains the maximum score ([`earliest_max`]). Out of visit order, the same
-/// winner is the lexicographically smallest max-scoring subset, so a
-/// candidate replaces the incumbent iff it scores strictly higher, or ties
-/// the score with a lexicographically smaller index subset.
+/// The lexicographic scan keeps the *first* subset that attains the maximum
+/// score: a later subset wins only by scoring strictly higher. Out of visit
+/// order, the same winner is the lexicographically smallest max-scoring
+/// subset, so a candidate replaces the incumbent iff it scores strictly
+/// higher, or ties the score with a lexicographically smaller index subset.
 pub(crate) fn replaces_incumbent(
     candidate_score: f64,
     candidate_subset: &[u32],
@@ -230,14 +218,13 @@ mod tests {
                 vec![2, 3],
             ]
         );
-        // Stepping a suffix that starts above zero, as the brute force does
-        // behind a fixed first index.
-        let mut suffix = [3, 4];
-        assert!(next_combination(&mut suffix, 6));
-        assert_eq!(suffix, [3, 5]);
-        assert!(next_combination(&mut suffix, 6));
-        assert_eq!(suffix, [4, 5]);
-        assert!(!next_combination(&mut suffix, 6));
+        // Stepping from a subset that does not start at the first one.
+        let mut subset = [3, 4];
+        assert!(next_combination(&mut subset, 6));
+        assert_eq!(subset, [3, 5]);
+        assert!(next_combination(&mut subset, 6));
+        assert_eq!(subset, [4, 5]);
+        assert!(!next_combination(&mut subset, 6));
     }
 
     #[test]

@@ -32,17 +32,7 @@ impl PreviewDiscovery for DynamicProgrammingDiscovery {
         "dynamic-programming"
     }
 
-    /// The DP recurrence is inherently sequential in its outer dimension
-    /// (`Popt(·, ·, x)` depends on `Popt(·, ·, x − 1)`), so `threads` is
-    /// accepted for interface uniformity but does not fan work out. The
-    /// algorithm is polynomial — parallelism pays off on the exponential
-    /// enumeration algorithms, not here.
-    fn discover_with_threads(
-        &self,
-        scored: &ScoredSchema,
-        space: &PreviewSpace,
-        _threads: usize,
-    ) -> Result<Option<Preview>> {
+    fn discover(&self, scored: &ScoredSchema, space: &PreviewSpace) -> Result<Option<Preview>> {
         let size = match space {
             PreviewSpace::Concise(size) => *size,
             PreviewSpace::Tight(..) | PreviewSpace::Diverse(..) => {

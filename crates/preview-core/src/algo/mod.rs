@@ -64,27 +64,18 @@ pub trait PreviewDiscovery {
     /// Returns `Ok(None)` when the space is empty (no preview satisfies the
     /// constraints) and an error when the algorithm does not support the
     /// requested space (e.g. dynamic programming with a distance constraint).
-    ///
-    /// Uses the thread budget of the schema's
-    /// [`ScoringConfig`](crate::ScoringConfig); see
-    /// [`discover_with_threads`](Self::discover_with_threads) for an explicit
-    /// override.
-    fn discover(&self, scored: &ScoredSchema, space: &PreviewSpace) -> Result<Option<Preview>> {
-        self.discover_with_threads(scored, space, scored.config().threads)
-    }
+    fn discover(&self, scored: &ScoredSchema, space: &PreviewSpace) -> Result<Option<Preview>>;
 
-    /// Like [`discover`](Self::discover) with an explicit fork-join thread
-    /// budget (`0` = auto, `1` = sequential; see [`crate::par`]).
-    ///
-    /// The budget only affects wall-clock time: every implementation merges
-    /// its parallel reductions in index order, so the returned preview is
-    /// byte-identical across all `threads` values.
+    /// [`discover`](Self::discover). `threads` is accepted and ignored:
+    /// every engine runs sequentially.
     fn discover_with_threads(
         &self,
         scored: &ScoredSchema,
         space: &PreviewSpace,
-        threads: usize,
-    ) -> Result<Option<Preview>>;
+        _threads: usize,
+    ) -> Result<Option<Preview>> {
+        self.discover(scored, space)
+    }
 }
 
 /// Number of `k`-subsets the brute-force algorithm would enumerate for a

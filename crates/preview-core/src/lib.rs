@@ -46,7 +46,6 @@ pub mod algo;
 pub mod candidates;
 mod constraint;
 mod error;
-pub mod par;
 mod preview;
 pub mod scoring;
 pub mod sharded;
@@ -59,10 +58,9 @@ pub use algo::{
 pub use candidates::Candidate;
 pub use constraint::{DistanceConstraint, PreviewSpace, SizeConstraint};
 pub use error::{Error, Result};
-pub use par::FjPool;
 pub use preview::{MaterializedRow, MaterializedTable, NonKeyAttr, Preview, PreviewTable};
 pub use scoring::{KeyScoring, NonKeyScoring, RandomWalkConfig, ScoredSchema, ScoringConfig};
-pub use sharded::{apply_delta_parallel, build_sharded, sharded_entropy_scores_with};
+pub use sharded::{apply_delta_parallel, build_sharded, sharded_entropy_scores};
 
 /// Compile-time guarantees that the types a serving layer shares across
 /// threads are `Send + Sync + Clone`. Discovery over a shared

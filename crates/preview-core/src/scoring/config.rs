@@ -61,23 +61,16 @@ pub struct ScoringConfig {
     pub non_key: NonKeyScoring,
     /// Parameters of the random-walk measure (ignored for coverage).
     pub random_walk: RandomWalkConfig,
-    /// Fork-join thread budget for scoring and discovery: `1` (the default)
-    /// runs sequentially, `0` means "auto" (the host's available
-    /// parallelism, resolved by
-    /// [`FjPool::global`](crate::par::FjPool::global) — never
-    /// oversubscribing), any other value caps the workers for this
-    /// configuration. The knob never changes results —
-    /// all parallel reductions merge in index order, so outputs stay
-    /// byte-identical to the sequential path — which is also why it is *not*
-    /// part of result-cache or memoization keys.
+    /// Accepted and ignored: scoring and discovery run sequentially. Kept so
+    /// existing callers and serialized configs still work; it is *not* part
+    /// of result-cache or memoization keys.
     ///
-    /// Configs serialized before this field existed deserialize to the
-    /// sequential default (`1`, not `usize::default()`'s `0` = auto).
+    /// Configs serialized before this field existed deserialize to `1`.
     #[serde(default = "default_threads")]
     pub threads: usize,
 }
 
-/// Serde default for [`ScoringConfig::threads`]: sequential. The vendored
+/// Serde default for [`ScoringConfig::threads`]: `1`. The vendored
 /// serde stand-in ignores field attributes (hence the `dead_code` allow);
 /// the real `serde_derive` calls this when the field is absent.
 #[allow(dead_code)]
@@ -112,7 +105,7 @@ impl ScoringConfig {
         }
     }
 
-    /// Sets the fork-join thread budget (see [`ScoringConfig::threads`]).
+    /// Sets [`ScoringConfig::threads`], which is ignored.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
         self
@@ -173,11 +166,6 @@ impl ScoredSchema {
         config: &ScoringConfig,
     ) -> Result<Self> {
         let schema = sharded.graph().schema_graph().clone();
-        // Capture the trace position once, before the fork-join sections:
-        // pool helper threads never record spans (the determinism pin), so
-        // the orchestration-level spans around them parent through this
-        // explicit handoff rather than any thread-local span stack.
-        let trace_context = preview_obs::current_context();
         let key_scores = match config.key {
             KeyScoring::Coverage => key::coverage_scores(&schema),
             KeyScoring::RandomWalk => key::random_walk_scores(&schema, &config.random_walk)?,
@@ -188,16 +176,14 @@ impl ScoredSchema {
                 (cov.clone(), cov)
             }
             NonKeyScoring::Entropy => {
-                let _span = preview_obs::enter_in_context(
-                    trace_context,
+                let _span = preview_obs::enter_with(
                     preview_obs::Stage::EntropyScoring,
                     schema.edges().len() as u64,
                 );
-                crate::sharded::sharded_entropy_scores_with(sharded, &schema, config.threads)
+                crate::sharded::sharded_entropy_scores(sharded, &schema)
             }
         };
-        let _span = preview_obs::enter_in_context(
-            trace_context,
+        let _span = preview_obs::enter_with(
             preview_obs::Stage::CandidateGen,
             schema.edges().len() as u64,
         );
@@ -226,9 +212,6 @@ impl ScoredSchema {
         schema: SchemaGraph,
         config: &ScoringConfig,
     ) -> Result<Self> {
-        // Same explicit handoff as `build_sharded`: capture once, parent
-        // the orchestration spans around the pool sections through it.
-        let trace_context = preview_obs::current_context();
         let key_scores = match config.key {
             KeyScoring::Coverage => key::coverage_scores(&schema),
             KeyScoring::RandomWalk => key::random_walk_scores(&schema, &config.random_walk)?,
@@ -239,16 +222,14 @@ impl ScoredSchema {
                 (cov.clone(), cov)
             }
             NonKeyScoring::Entropy => {
-                let _span = preview_obs::enter_in_context(
-                    trace_context,
+                let _span = preview_obs::enter_with(
                     preview_obs::Stage::EntropyScoring,
                     schema.edges().len() as u64,
                 );
-                nonkey::entropy_scores_with(graph, &schema, config.threads)
+                nonkey::entropy_scores(graph, &schema)
             }
         };
-        let _span = preview_obs::enter_in_context(
-            trace_context,
+        let _span = preview_obs::enter_with(
             preview_obs::Stage::CandidateGen,
             schema.edges().len() as u64,
         );
@@ -696,7 +677,7 @@ mod tests {
         for config in [
             ScoringConfig::coverage(),
             ScoringConfig::new(KeyScoring::Coverage, NonKeyScoring::Entropy),
-            ScoringConfig::new(KeyScoring::RandomWalk, NonKeyScoring::Entropy).with_threads(0),
+            ScoringConfig::new(KeyScoring::RandomWalk, NonKeyScoring::Entropy),
         ] {
             let unsharded = ScoredSchema::build(&graph, &config).unwrap();
             for strategy in [
@@ -742,5 +723,50 @@ mod tests {
         assert_eq!(KeyScoring::RandomWalk.label(), "Random Walk");
         assert_eq!(NonKeyScoring::Entropy.label(), "Entropy");
         assert_eq!(NonKeyScoring::Coverage.label(), "Coverage");
+    }
+
+    #[test]
+    fn builds_parent_their_stage_spans_to_the_open_span() {
+        use entity_graph::{ShardedGraph, ShardingStrategy};
+        use preview_obs::{ObsConfig, Recorder, Stage, TraceId, TraceOutcome};
+        use std::sync::Arc;
+        use std::time::{Duration, Instant};
+
+        let graph = Arc::new(fixtures::figure1_graph());
+        let sharded =
+            ShardedGraph::from_graph(Arc::clone(&graph), ShardingStrategy::ByIdHash { shards: 3 });
+        let config = ScoringConfig::new(KeyScoring::Coverage, NonKeyScoring::Entropy);
+        let builds: [&dyn Fn() -> ScoredSchema; 2] =
+            [&|| ScoredSchema::build(&graph, &config).unwrap(), &|| {
+                ScoredSchema::build_sharded(&sharded, &config).unwrap()
+            }];
+        for (seq, build) in builds.into_iter().enumerate() {
+            let recorder = Arc::new(Recorder::new(ObsConfig::default().with_sample_every(1)));
+            recorder.enable();
+            let _attach = recorder.attach();
+            let trace = recorder.begin_trace(TraceId::from_seq(seq as u64), Instant::now());
+            {
+                let _discovery = preview_obs::span!(Stage::Discovery);
+                build();
+            }
+            trace.finish(Duration::ZERO, TraceOutcome::Ok, "");
+            recorder.disable();
+
+            let trees = recorder.traces().trees();
+            assert_eq!(trees.len(), 1, "build {seq}");
+            let spans = &trees[0].spans;
+            let of = |stage: Stage| spans.iter().filter(move |s| s.stage == stage);
+            let discovery = of(Stage::Discovery).next().expect("discovery span");
+            for stage in [Stage::EntropyScoring, Stage::CandidateGen] {
+                let recorded: Vec<_> = of(stage).collect();
+                assert_eq!(recorded.len(), 1, "build {seq}: {}", stage.name());
+                assert_eq!(
+                    recorded[0].parent_id,
+                    discovery.span_id,
+                    "build {seq}: {}",
+                    stage.name()
+                );
+            }
+        }
     }
 }

@@ -4,8 +4,6 @@ use std::collections::HashMap;
 
 use entity_graph::{Direction, EntityGraph, EntityId, SchemaEdge, SchemaGraph};
 
-use crate::par::FjPool;
-
 /// Coverage-based non-key attribute scores: `Sτcov(γ)` is the number of
 /// entity-graph edges of relationship type `γ`.
 ///
@@ -35,24 +33,10 @@ pub fn coverage_scores(schema: &SchemaGraph) -> Vec<f64> {
 /// `outgoing[e]` is the score when the key attribute is the edge's source
 /// type, `incoming[e]` when it is the destination type.
 pub fn entropy_scores(graph: &EntityGraph, schema: &SchemaGraph) -> (Vec<f64>, Vec<f64>) {
-    entropy_scores_with(graph, schema, 1)
-}
-
-/// [`entropy_scores`] with an explicit fork-join thread budget: candidate
-/// attributes (schema edges) are scored in parallel on the
-/// [global pool](FjPool::global), and the per-edge scores are collected in
-/// schema-edge order, so the result is byte-identical to the sequential path
-/// for every `threads` value (see [`crate::par`]).
-pub fn entropy_scores_with(
-    graph: &EntityGraph,
-    schema: &SchemaGraph,
-    threads: usize,
-) -> (Vec<f64>, Vec<f64>) {
-    FjPool::global()
-        .map(threads, schema.edges(), |_, edge| {
-            entropy_scores_for_edge(graph, schema, edge)
-        })
-        .into_iter()
+    schema
+        .edges()
+        .iter()
+        .map(|edge| entropy_scores_for_edge(graph, schema, edge))
         .unzip()
 }
 
@@ -60,9 +44,9 @@ pub fn entropy_scores_with(
 ///
 /// Bit-identical to the corresponding entries of [`entropy_scores`] — the
 /// per-edge computation is independent of every other edge, which is what
-/// both the parallel scoring path and incremental rescoring
+/// incremental rescoring
 /// ([`ScoredSchema::rescore_delta`](crate::ScoredSchema::rescore_delta))
-/// build on: a delta recomputes only the touched edges through this function
+/// builds on: a delta recomputes only the touched edges through this function
 /// and reuses every untouched score bitwise.
 pub fn entropy_scores_for_edge(
     graph: &EntityGraph,
@@ -245,19 +229,6 @@ mod tests {
             .iter()
             .chain(inc.iter())
             .all(|v| v.is_finite() && *v >= 0.0));
-    }
-
-    #[test]
-    fn parallel_entropy_is_byte_identical_to_sequential() {
-        let g = fixtures::figure1_graph();
-        let s = g.schema_graph();
-        let (seq_out, seq_inc) = entropy_scores_with(&g, s, 1);
-        for threads in [0, 2, 4, 16] {
-            let (out, inc) = entropy_scores_with(&g, s, threads);
-            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(&out), bits(&seq_out), "threads={threads}");
-            assert_eq!(bits(&inc), bits(&seq_inc), "threads={threads}");
-        }
     }
 
     #[test]

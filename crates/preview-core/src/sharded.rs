@@ -1,19 +1,14 @@
-//! Sharded-storage drivers: parallel shard builds, parallel delta
-//! re-splicing and cross-shard entropy aggregation, all on the crate's
-//! fork-join pool ([`FjPool`]).
+//! Entropy scoring from sharded storage, plus [`build_sharded`] and
+//! [`apply_delta_parallel`], which forward to [`ShardedGraph`] for existing
+//! callers.
 //!
-//! `entity-graph` keeps its sharding layer runtime-free by inverting control
-//! (see [`ShardedGraph::from_graph_with`]); this module injects the pool.
-//! Everything here is **bitwise identical** to the unsharded path:
-//!
-//! * shard builds and re-splices are independent per shard and collected in
-//!   shard order, so any schedule produces the same `ShardedGraph`;
-//! * entropy scoring groups tuples by their *canonical encoded* neighbor
-//!   bytes instead of borrowed neighbor slices — a bijection on value sets —
-//!   then merges the per-shard groups into one global count multiset and
-//!   sums it through the same sorted-order kernel as the unsharded scorer,
-//!   so every score matches [`nonkey::entropy_scores`] bit for bit (the
-//!   determinism guard enforces this).
+//! Everything here is **bitwise identical** to the unsharded path: entropy
+//! scoring groups tuples by their *canonical encoded* neighbor bytes instead
+//! of borrowed neighbor slices — a bijection on value sets — then merges the
+//! per-shard groups into one global count multiset and sums it through the
+//! same sorted-order kernel as the unsharded scorer, so every score matches
+//! [`nonkey::entropy_scores`] bit for bit (the determinism guard enforces
+//! this).
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -23,32 +18,20 @@ use entity_graph::{
     ShardingStrategy, TypeId,
 };
 
-use crate::par::FjPool;
 use crate::scoring::nonkey;
 
-/// Shards `graph` under `strategy`, building the shards in parallel on the
-/// [global fork-join pool](FjPool::global) with the given thread budget
-/// (`1` = sequential, `0` = auto; see
-/// [`ScoringConfig::threads`](crate::ScoringConfig::threads)).
-///
-/// The result is identical to [`ShardedGraph::from_graph`] for every
-/// `threads` value: shards are independent and collected in shard order.
+/// [`ShardedGraph::from_graph`], which builds the shards in parallel.
+/// `threads` is accepted and ignored.
 pub fn build_sharded(
     graph: Arc<EntityGraph>,
     strategy: ShardingStrategy,
-    threads: usize,
+    _threads: usize,
 ) -> ShardedGraph {
-    ShardedGraph::from_graph_with(graph, strategy, |count, build| {
-        let indexes: Vec<usize> = (0..count).collect();
-        FjPool::global().map(threads, &indexes, |_, &shard| build(shard))
-    })
+    ShardedGraph::from_graph(graph, strategy)
 }
 
-/// Applies a delta to a sharded graph, re-splicing the shards in parallel on
-/// the [global fork-join pool](FjPool::global).
-///
-/// Identical to [`ShardedGraph::apply_delta`] for every `threads` value —
-/// and therefore equal to resharding the spliced logical graph from scratch.
+/// [`ShardedGraph::apply_delta`], which re-splices the shards in parallel.
+/// `threads` is accepted and ignored.
 ///
 /// # Errors
 ///
@@ -57,44 +40,27 @@ pub fn build_sharded(
 pub fn apply_delta_parallel(
     sharded: &ShardedGraph,
     delta: &GraphDelta,
-    threads: usize,
+    _threads: usize,
 ) -> entity_graph::Result<AppliedShardedDelta> {
-    sharded.apply_delta_with(delta, |count, build| {
-        let indexes: Vec<usize> = (0..count).collect();
-        FjPool::global().map(threads, &indexes, |_, &shard| build(shard))
-    })
+    sharded.apply_delta(delta)
 }
 
-/// Entropy-based non-key scores computed from sharded storage, sequentially.
-/// See [`sharded_entropy_scores_with`].
+/// Entropy-based non-key scores for both orientations of every schema edge,
+/// computed from sharded storage with cross-shard aggregation.
+///
+/// Bitwise identical to [`nonkey::entropy_scores`] on the logical graph:
+/// tuples group equal iff their canonical encoded neighbor bytes are equal,
+/// merging per-shard groups preserves the global count multiset (an entity
+/// lives in exactly one shard), and the final sum runs over sorted counts in
+/// both paths.
 pub fn sharded_entropy_scores(
     sharded: &ShardedGraph,
     schema: &SchemaGraph,
 ) -> (Vec<f64>, Vec<f64>) {
-    sharded_entropy_scores_with(sharded, schema, 1)
-}
-
-/// Entropy-based non-key scores for both orientations of every schema edge,
-/// computed from sharded storage with cross-shard aggregation, scoring the
-/// candidate attributes in parallel on the
-/// [global fork-join pool](FjPool::global).
-///
-/// Bitwise identical to
-/// [`nonkey::entropy_scores_with`] on the logical graph for every `threads`
-/// value: tuples group equal iff their canonical encoded neighbor bytes are
-/// equal, merging per-shard groups preserves the global count multiset (an
-/// entity lives in exactly one shard), and the final sum runs over sorted
-/// counts in both paths.
-pub fn sharded_entropy_scores_with(
-    sharded: &ShardedGraph,
-    schema: &SchemaGraph,
-    threads: usize,
-) -> (Vec<f64>, Vec<f64>) {
-    FjPool::global()
-        .map(threads, schema.edges(), |_, edge| {
-            sharded_entropy_scores_for_edge(sharded, schema, edge)
-        })
-        .into_iter()
+    schema
+        .edges()
+        .iter()
+        .map(|edge| sharded_entropy_scores_for_edge(sharded, schema, edge))
         .unzip()
 }
 
@@ -190,29 +156,15 @@ mod tests {
     }
 
     #[test]
-    fn parallel_build_matches_sequential_reference() {
-        let graph = Arc::new(fixtures::figure1_graph());
-        for strategy in strategies() {
-            let reference = ShardedGraph::from_graph(Arc::clone(&graph), strategy);
-            for threads in [0, 1, 2, 8] {
-                let parallel = build_sharded(Arc::clone(&graph), strategy, threads);
-                assert_eq!(parallel, reference, "{strategy:?} threads={threads}");
-            }
-        }
-    }
-
-    #[test]
     fn sharded_entropy_is_bitwise_identical_to_unsharded() {
         let graph = Arc::new(fixtures::figure1_graph());
         let schema = graph.schema_graph().clone();
         let (expected_out, expected_inc) = nonkey::entropy_scores(&graph, &schema);
         for strategy in strategies() {
-            let sharded = build_sharded(Arc::clone(&graph), strategy, 0);
-            for threads in [0, 1, 2, 8] {
-                let (out, inc) = sharded_entropy_scores_with(&sharded, &schema, threads);
-                assert_eq!(bits(&out), bits(&expected_out), "{strategy:?}");
-                assert_eq!(bits(&inc), bits(&expected_inc), "{strategy:?}");
-            }
+            let sharded = ShardedGraph::from_graph(Arc::clone(&graph), strategy);
+            let (out, inc) = sharded_entropy_scores(&sharded, &schema);
+            assert_eq!(bits(&out), bits(&expected_out), "{strategy:?}");
+            assert_eq!(bits(&inc), bits(&expected_inc), "{strategy:?}");
         }
     }
 
@@ -231,20 +183,17 @@ mod tests {
                 "FILM GENRE",
             );
         for strategy in strategies() {
-            let sharded = build_sharded(Arc::clone(&graph), strategy, 0);
-            for threads in [0, 1, 4] {
-                let applied = apply_delta_parallel(&sharded, &delta, threads).unwrap();
-                let reference =
-                    ShardedGraph::from_graph(Arc::clone(applied.sharded.graph()), strategy);
-                assert_eq!(applied.sharded, reference, "{strategy:?} threads={threads}");
-                // Entropy over the new version stays bitwise identical too.
-                let schema = applied.sharded.graph().schema_graph().clone();
-                let (expected_out, expected_inc) =
-                    nonkey::entropy_scores(applied.sharded.graph(), &schema);
-                let (out, inc) = sharded_entropy_scores(&applied.sharded, &schema);
-                assert_eq!(bits(&out), bits(&expected_out));
-                assert_eq!(bits(&inc), bits(&expected_inc));
-            }
+            let sharded = ShardedGraph::from_graph(Arc::clone(&graph), strategy);
+            let applied = apply_delta_parallel(&sharded, &delta, 0).unwrap();
+            let reference = ShardedGraph::from_graph(Arc::clone(applied.sharded.graph()), strategy);
+            assert_eq!(applied.sharded, reference, "{strategy:?}");
+            // Entropy over the new version stays bitwise identical too.
+            let schema = applied.sharded.graph().schema_graph().clone();
+            let (expected_out, expected_inc) =
+                nonkey::entropy_scores(applied.sharded.graph(), &schema);
+            let (out, inc) = sharded_entropy_scores(&applied.sharded, &schema);
+            assert_eq!(bits(&out), bits(&expected_out));
+            assert_eq!(bits(&inc), bits(&expected_inc));
         }
     }
 }

@@ -7,9 +7,9 @@
 //! is bitwise-deterministic. The invariants that make that true — no
 //! iteration-order-sensitive float accumulation, no wall-clock reads in
 //! engine code, disciplined atomic orderings in the seqlock recorder and
-//! worker-token budget, no tracing inside `FjPool` closures — used to be
-//! enforced by after-the-fact runtime goldens and comments. This crate
-//! turns them into a machine-checked CI gate.
+//! the shard-build cursor — used to be enforced by after-the-fact runtime
+//! goldens and comments. This crate turns them into a machine-checked CI
+//! gate.
 //!
 //! # Design
 //!

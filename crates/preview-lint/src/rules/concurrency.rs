@@ -1,5 +1,5 @@
-//! Concurrency rules: atomic-ordering discipline, lock-acquisition-order
-//! cycle detection, and the "never trace inside `FjPool` closures" rule.
+//! Concurrency rules: atomic-ordering discipline and lock-acquisition-order
+//! cycle detection.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -316,137 +316,4 @@ fn tarjan<'a>(adj: &BTreeMap<&'a str, BTreeSet<&'a str>>) -> Vec<Vec<&'a str>> {
         }
     }
     st.out
-}
-
-/// Tracing entry points that must never run inside `FjPool` closures:
-/// spans allocate and take the recorder lock, which both skews the
-/// per-item timings and serialises the pool workers.
-const TRACE_CALLS: &[&str] = &["counter_add", "enter", "enter_with"];
-
-/// `trace-in-fjpool-closure`: flags `span!` / `enter` / `enter_with` /
-/// `counter_add` inside the argument list of `.map(..)` or
-/// `.map_chunked(..)` when the receiver is an `FjPool` (a chain rooted
-/// at an `FjPool` path or a variable named `pool`). Tracing belongs at
-/// the orchestration level around the pool call, never per work item —
-/// PR 7 established this rule in a comment; this makes it machine-checked.
-pub struct TraceInFjPoolClosure;
-
-impl Rule for TraceInFjPoolClosure {
-    fn id(&self) -> &'static str {
-        "trace-in-fjpool-closure"
-    }
-    fn family(&self) -> Family {
-        Family::Concurrency
-    }
-    fn severity(&self) -> Severity {
-        Severity::Error
-    }
-    fn description(&self) -> &'static str {
-        "span!/enter/counter_add inside an FjPool map/map_chunked closure"
-    }
-
-    fn check_file(&mut self, ctx: &FileContext, out: &mut Vec<Finding>) {
-        if !matches!(ctx.meta.class, FileClass::Lib | FileClass::Bin) {
-            return;
-        }
-        let n = ctx.sig_len();
-        for i in 0..n {
-            if ctx.sig_text(i) != "."
-                || !matches!(ctx.sig_text(i + 1), "map" | "map_chunked")
-                || ctx.sig_text(i + 2) != "("
-            {
-                continue;
-            }
-            if !receiver_is_fjpool(ctx, i) {
-                continue;
-            }
-            // Scan the balanced argument list for tracing calls.
-            let mut depth = 1usize;
-            let mut k = i + 3;
-            while k < n && depth > 0 {
-                match ctx.sig_text(k) {
-                    "(" | "[" | "{" => depth += 1,
-                    ")" | "]" | "}" => depth -= 1,
-                    "span" if ctx.sig_text(k + 1) == "!" => {
-                        self.flag(ctx, k, "span!", out);
-                    }
-                    t if TRACE_CALLS.contains(&t)
-                        && ctx.sig_text(k + 1) == "("
-                        && k >= 1
-                        && matches!(ctx.sig_text(k - 1), "." | ":") =>
-                    {
-                        self.flag(ctx, k, t, out);
-                    }
-                    _ => {}
-                }
-                k += 1;
-            }
-        }
-    }
-}
-
-impl TraceInFjPoolClosure {
-    fn flag(&self, ctx: &FileContext, sig_idx: usize, what: &str, out: &mut Vec<Finding>) {
-        let offset = ctx.sig_token(sig_idx).map(|t| t.start).unwrap_or(0);
-        if ctx.in_test(offset) {
-            return;
-        }
-        out.push(Finding::at(
-            ctx,
-            self.id(),
-            self.severity(),
-            offset,
-            format!(
-                "`{what}` inside an FjPool closure: tracing serialises pool workers and \
-                 skews per-item timings; trace around the pool call instead"
-            ),
-        ));
-    }
-}
-
-/// Walks the receiver chain backwards from the `.` at significant index
-/// `dot` and decides whether it is an `FjPool`. Recognised shapes:
-/// `FjPool::global().map(..)`, `FjPool::with_threads(n).map(..)`,
-/// longer chains rooted at `FjPool`, and a plain variable named `pool`.
-fn receiver_is_fjpool(ctx: &FileContext, dot: usize) -> bool {
-    let mut i = dot; // walk left from the `.`
-    loop {
-        if i == 0 {
-            return false;
-        }
-        i -= 1;
-        match ctx.sig_text(i) {
-            ")" => {
-                // Skip the balanced group backwards.
-                let mut depth = 1usize;
-                while i > 0 && depth > 0 {
-                    i -= 1;
-                    match ctx.sig_text(i) {
-                        ")" | "]" | "}" => depth += 1,
-                        "(" | "[" | "{" => depth -= 1,
-                        _ => {}
-                    }
-                }
-                if depth > 0 {
-                    return false;
-                }
-            }
-            // A variable or field named `pool` — by workspace convention
-            // FjPool handles are called `pool` (`pool.map(..)`,
-            // `self.pool.map_chunked(..)`).
-            "pool" => return true,
-            "FjPool" => return true,
-            t if ctx.sig_kind(i) == Some(crate::lexer::TokenKind::Ident) => {
-                // Part of a path/chain: keep walking if preceded by `.`
-                // or `::`, otherwise this ident is the chain root.
-                let before = if i > 0 { ctx.sig_text(i - 1) } else { "" };
-                let _ = t;
-                if before != "." && before != ":" {
-                    return false;
-                }
-            }
-            "." | ":" => {}
-            _ => return false,
-        }
-    }
 }

@@ -130,7 +130,6 @@ pub fn all_rules() -> Vec<Box<dyn Rule>> {
         Box::new(determinism::AmbientRandomness),
         Box::new(concurrency::AtomicOrderingAnnotation),
         Box::new(concurrency::LockOrderCycle::default()),
-        Box::new(concurrency::TraceInFjPoolClosure),
         Box::new(policy::RequestPathUnwrap),
         Box::new(policy::ForbidUnsafe),
         Box::new(policy::DenyMissingDocs),

@@ -19,7 +19,6 @@ const RULES: &[&str] = &[
     "ambient-randomness",
     "atomic-ordering-annotation",
     "lock-order-cycle",
-    "trace-in-fjpool-closure",
     "request-path-unwrap",
     "forbid-unsafe",
     "deny-missing-docs",

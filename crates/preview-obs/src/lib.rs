@@ -36,7 +36,7 @@
 //! | [`Stage`] / [`Counter`] | the closed taxonomy instrumented across the stack |
 //! | [`Recorder`] | per-stage [`Histogram`]s + counters + the flight ring + the [`TraceStore`] |
 //! | [`span!`] / [`SpanGuard`] | RAII stage timing on the attached recorder |
-//! | [`TraceGuard`] / [`TraceContext`] | per-request tree building and the fork-join handoff |
+//! | [`TraceGuard`] | per-request tree building |
 //! | [`FlightRing`] / [`FlightDump`] | seqlock ring of recent span events; dumped on panic / slow request / demand |
 //! | [`TimeSeries`] / [`SloSpec`] | windowed deltas, rates, and burn-rate evaluation |
 //! | [`ObsSnapshot`] | the JSON export consumed by `PreviewService::snapshot()` and every bench |
@@ -85,17 +85,15 @@ pub use flight::{FlightDump, FlightRing, SpanEvent};
 pub use histogram::{bucket_index, bucket_lower, Histogram, HistogramSnapshot, BUCKETS};
 pub use json::{write_json_f64, write_json_string, JsonValue};
 pub use recorder::{
-    counter_add, counter_add_many, current_context, enter, enter_in_context, enter_with,
-    AttachGuard, DumpReason, ObsConfig, Recorder, SpanGuard, TraceGuard,
+    counter_add, counter_add_many, enter, enter_with, AttachGuard, DumpReason, ObsConfig, Recorder,
+    SpanGuard, TraceGuard,
 };
 pub use rss::peak_rss_bytes;
 pub use slo::{SloSpec, SloStatus};
 pub use snapshot::{MemorySection, ObsSnapshot, RouteCount, ShardMemory};
 pub use stage::{Counter, Stage, COUNTER_COUNT, STAGE_COUNT};
 pub use timeseries::{MetricsCumulative, TickDelta, TimeSeries, TimeSeriesConfig, WindowSummary};
-pub use trace::{
-    RetainReason, TraceContext, TraceId, TraceOutcome, TraceSpan, TraceStore, TraceTree,
-};
+pub use trace::{RetainReason, TraceId, TraceOutcome, TraceSpan, TraceStore, TraceTree};
 
 /// Compile-time guarantees for the types that cross thread boundaries: the
 /// worker pool shares one `Arc<Recorder>` across every worker and the
@@ -122,7 +120,6 @@ mod static_assertions {
         assert_send_sync_clone::<Counter>();
         assert_send_sync_clone::<ObsConfig>();
         assert_send_sync_clone::<TraceId>();
-        assert_send_sync_clone::<TraceContext>();
         assert_send_sync_clone::<TraceTree>();
         assert_send_sync_clone::<RetainReason>();
         assert_send_sync_clone::<RouteCount>();

@@ -15,8 +15,8 @@
 //!
 //! Recorders are explicit, not ambient: a thread records into whichever
 //! recorder it has [attached](Recorder::attach). Worker pools attach once
-//! per worker at startup; fork-join helper threads stay unattached, which
-//! keeps parallel sections uninstrumented and the outputs deterministic.
+//! per worker at startup; the shard-build helper threads stay unattached,
+//! so only the calling thread records around a parallel shard build.
 
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
@@ -28,8 +28,8 @@ use crate::flight::{FlightDump, FlightRing, SpanEvent};
 use crate::histogram::Histogram;
 use crate::stage::{Counter, Stage, COUNTER_COUNT, STAGE_COUNT};
 use crate::trace::{
-    ActiveTrace, RetainReason, TraceContext, TraceId, TraceOutcome, TraceSpan, TraceStore,
-    TraceTree, ROOT_SPAN_ID,
+    ActiveTrace, RetainReason, TraceId, TraceOutcome, TraceSpan, TraceStore, TraceTree,
+    ROOT_SPAN_ID,
 };
 
 /// Number of recorders currently enabled, across the whole process. The
@@ -688,7 +688,7 @@ pub fn enter(stage: Stage) -> SpanGuard {
 /// overhead gate in `obs-bench` pins this). Beyond that gate, counters are
 /// always live — [`Recorder::add_counter`] accumulates whether or not the
 /// *attached* recorder is the enabled one. Threads without an attached
-/// recorder (fork-join helpers, plain library callers) drop the increment:
+/// recorder (shard-build helpers, plain library callers) drop the increment:
 /// library code can report counters unconditionally and only instrumented
 /// serving stacks collect them.
 #[inline]
@@ -724,42 +724,6 @@ fn counter_add_slow(counters: &[(Counter, u64)]) {
     });
 }
 
-/// The current thread's trace position, for handing across an orchestration
-/// boundary: the active trace plus the span id new children should parent
-/// to. `None` — after a single relaxed load on the disabled path — when no
-/// trace is being built on this thread.
-///
-/// Capture the context *before* a fork-join pool call and reopen spans at
-/// the orchestration level with [`enter_in_context`]; spans never fire
-/// inside pool closures (the `trace-in-fjpool-closure` lint pins this), so
-/// the handoff is explicit and the parallel section stays deterministic.
-#[inline]
-pub fn current_context() -> Option<TraceContext> {
-    // lint: ordering-ok(disabled-recorder fast path; a stale zero only skips one context capture near an enable transition)
-    if ENABLED_RECORDERS.load(Ordering::Relaxed) == 0 {
-        return None;
-    }
-    TRACE.with(|cell| {
-        cell.borrow().as_ref().map(|active| TraceContext {
-            trace: active.trace,
-            parent: active.current_parent(),
-        })
-    })
-}
-
-/// [`enter_with`], but parenting the span to an explicit [`TraceContext`]
-/// captured earlier with [`current_context`] instead of the thread's open
-/// span stack. Falls back to stack parenting when `context` is `None` or
-/// names a different trace than the one active on this thread.
-#[inline]
-pub fn enter_in_context(context: Option<TraceContext>, stage: Stage, attr: u64) -> SpanGuard {
-    // lint: ordering-ok(disabled-recorder fast path; a stale zero only skips a span near an enable transition)
-    if ENABLED_RECORDERS.load(Ordering::Relaxed) == 0 {
-        return SpanGuard::noop();
-    }
-    enter_slow(stage, attr, context)
-}
-
 /// [`enter`], with a free-form attribute attached to the span event.
 #[inline]
 pub fn enter_with(stage: Stage, attr: u64) -> SpanGuard {
@@ -767,11 +731,11 @@ pub fn enter_with(stage: Stage, attr: u64) -> SpanGuard {
     if ENABLED_RECORDERS.load(Ordering::Relaxed) == 0 {
         return SpanGuard::noop();
     }
-    enter_slow(stage, attr, None)
+    enter_slow(stage, attr)
 }
 
 #[cold]
-fn enter_slow(stage: Stage, attr: u64, context: Option<TraceContext>) -> SpanGuard {
+fn enter_slow(stage: Stage, attr: u64) -> SpanGuard {
     CURRENT.with(|cell| {
         let current = cell.borrow();
         match current.as_ref() {
@@ -781,20 +745,12 @@ fn enter_slow(stage: Stage, attr: u64, context: Option<TraceContext>) -> SpanGua
                     d.set(v + 1);
                     v
                 });
-                let (trace, span_id, parent_id) = TRACE.with(|t| {
-                    match t.borrow_mut().as_mut() {
-                        Some(active) => {
-                            // An explicit context wins only when it names
-                            // this thread's trace; a stale handoff from a
-                            // different request falls back to the stack.
-                            let explicit = context
-                                .filter(|ctx| ctx.trace == active.trace)
-                                .map(|ctx| ctx.parent);
-                            let (id, parent) = active.open(explicit);
-                            (active.trace.as_u64(), id, parent)
-                        }
-                        None => (0, 0, 0),
+                let (trace, span_id, parent_id) = TRACE.with(|t| match t.borrow_mut().as_mut() {
+                    Some(active) => {
+                        let (id, parent) = active.open(None);
+                        (active.trace.as_u64(), id, parent)
                     }
+                    None => (0, 0, 0),
                 });
                 SpanGuard(Some(ActiveSpan {
                     recorder: Arc::clone(recorder),
@@ -1011,9 +967,7 @@ mod tests {
         assert!(tguard.is_active());
         {
             let _outer = span!(Stage::Discovery);
-            let context = current_context();
-            assert_eq!(context.unwrap().trace, TraceId::from_seq(6));
-            let _inner = enter_in_context(context, Stage::Algorithm, 5);
+            let _inner = enter_with(Stage::Algorithm, 5);
         }
         tguard.finish(Duration::from_micros(100), TraceOutcome::Ok, "graph=g");
         recorder.disable();
@@ -1037,7 +991,7 @@ mod tests {
         assert_eq!(discovery.parent_id, root.span_id);
         assert_eq!(
             algorithm.parent_id, discovery.span_id,
-            "context handoff parents correctly"
+            "the innermost open span parents"
         );
         assert_eq!(algorithm.attr, 5);
         let queue = find(Stage::QueueWait);

@@ -58,22 +58,6 @@ impl fmt::Display for TraceId {
     }
 }
 
-/// The explicit handoff passed across an orchestration boundary (worker →
-/// fork-join pool call site) so spans opened around a parallel section
-/// parent correctly without relying on the thread-local span stack.
-///
-/// Spans still never fire *inside* pool closures (the `trace-in-fjpool-
-/// closure` lint pins this), so the context is captured before the pool
-/// call and consumed by [`enter_in_context`](crate::enter_in_context) at
-/// the orchestration level around it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TraceContext {
-    /// The active trace.
-    pub trace: TraceId,
-    /// The span id new child spans should parent to.
-    pub parent: u32,
-}
-
 /// How a worker's request ended, reported when the trace is finished.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceOutcome {
@@ -284,8 +268,8 @@ impl ActiveTrace {
     }
 
     /// Allocates a span id and resolves its parent: `explicit_parent` when
-    /// given (the [`TraceContext`] handoff), else the innermost open span,
-    /// else the root. The new span is pushed onto the open stack.
+    /// given, else the innermost open span, else the root. The new span is
+    /// pushed onto the open stack.
     pub(crate) fn open(&mut self, explicit_parent: Option<u32>) -> (u32, u32) {
         let id = self.next_id;
         self.next_id = self.next_id.saturating_add(1);
@@ -293,11 +277,6 @@ impl ActiveTrace {
             explicit_parent.unwrap_or_else(|| self.stack.last().copied().unwrap_or(ROOT_SPAN_ID));
         self.stack.push(id);
         (id, parent)
-    }
-
-    /// The span id new children should parent to right now.
-    pub(crate) fn current_parent(&self) -> u32 {
-        self.stack.last().copied().unwrap_or(ROOT_SPAN_ID)
     }
 
     /// Records a completed span and pops it off the open stack. Spans close
@@ -350,7 +329,7 @@ mod tests {
         assert_eq!(next_parent, outer);
         active.close(span(next, next_parent, Stage::CandidateGen));
         active.close(span(outer, outer_parent, Stage::Discovery));
-        assert_eq!(active.current_parent(), ROOT_SPAN_ID);
+        assert!(active.stack.is_empty());
         assert_eq!(active.spans.len(), 3);
     }
 

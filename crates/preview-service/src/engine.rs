@@ -231,14 +231,6 @@ impl Shared {
     /// [`execute`](Self::execute) resolved it — and publishes the result to
     /// the LRU cache. Resolving "latest" again here would let a publish that
     /// lands in between label and cache version v with v + 1's answer.
-    ///
-    /// Discovery honours the request's
-    /// [`ScoringConfig::threads`](preview_core::ScoringConfig::threads) knob
-    /// (memoized scoring may have been built under a different budget — the
-    /// knob never changes results, so the shared `ScoredSchema` is reused
-    /// regardless). All workers draw from the global fork-join pool, whose
-    /// token budget bounds the total number of extra threads across
-    /// concurrent requests instead of oversubscribing the host.
     fn compute(
         &self,
         request: &PreviewRequest,
@@ -260,11 +252,9 @@ impl Shared {
         let preview = {
             let _algorithm =
                 preview_obs::span!(Stage::Algorithm, threads = request.scoring.threads);
-            key.algorithm.discovery().discover_with_threads(
-                &scored,
-                &request.space,
-                request.scoring.threads,
-            )?
+            key.algorithm
+                .discovery()
+                .discover(&scored, &request.space)?
         };
         let score = preview
             .as_ref()
@@ -748,9 +738,7 @@ impl Drop for PreviewService {
 }
 
 fn worker_loop(shared: &Shared, queue: &BoundedQueue<Job>) {
-    // Workers record into the service's recorder for their whole lifetime;
-    // fork-join helper threads inside discovery stay unattached, so parallel
-    // sections never record and outputs stay deterministic.
+    // Workers record into the service's recorder for their whole lifetime.
     let _attach = shared.obs.attach();
     while let Some(job) = queue.pop() {
         let queue_wait = job.enqueued.elapsed();
@@ -1109,8 +1097,7 @@ mod tests {
             Arc::clone(&recorder),
         );
 
-        let request = crate::PreviewRequest::new("fig1", PreviewSpace::concise(2, 6).unwrap())
-            .with_threads(4);
+        let request = crate::PreviewRequest::new("fig1", PreviewSpace::concise(2, 6).unwrap());
         let expected = plain.submit_wait(request.clone()).unwrap();
         let observed = traced.submit_wait(request).unwrap();
         recorder.disable();
@@ -1135,8 +1122,8 @@ mod tests {
 
     /// Satellite: byte-identity holds with the *full* trace pipeline on —
     /// trace trees, per-stage thresholds, and head sampling retaining every
-    /// request — at `threads = 4`. Results and score bits must match an
-    /// uninstrumented service exactly.
+    /// request. Results and score bits must match an uninstrumented service
+    /// exactly.
     #[test]
     fn trace_trees_and_tail_sampling_never_change_responses() {
         let plain = fig1_service(ServiceConfig::default());
@@ -1156,8 +1143,7 @@ mod tests {
         );
 
         for (k, n) in [(1, 2), (2, 6), (2, 4)] {
-            let request = crate::PreviewRequest::new("fig1", PreviewSpace::concise(k, n).unwrap())
-                .with_threads(4);
+            let request = crate::PreviewRequest::new("fig1", PreviewSpace::concise(k, n).unwrap());
             let expected = plain.submit_wait(request.clone()).unwrap();
             let observed = traced.submit_wait(request).unwrap();
             assert_eq!(observed.preview, expected.preview);

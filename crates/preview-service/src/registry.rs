@@ -249,11 +249,10 @@ impl GraphRegistry {
     }
 
     /// Registers `graph` under `name` with **sharded** storage: the graph is
-    /// partitioned under `strategy` (shards built in parallel on the global
-    /// fork-join pool) before the new version goes live, and every scoring
-    /// request and delta publish against it runs through the sharded path —
-    /// transparently, since all sharded outputs are bitwise identical to the
-    /// unsharded ones.
+    /// partitioned under `strategy` (shards built in parallel) before the new
+    /// version goes live, and every scoring request and delta publish against
+    /// it runs through the sharded path — transparently, since all sharded
+    /// outputs are bitwise identical to the unsharded ones.
     pub fn register_sharded(
         &self,
         name: impl Into<String>,
@@ -261,7 +260,7 @@ impl GraphRegistry {
         strategy: ShardingStrategy,
     ) -> Arc<RegisteredGraph> {
         let graph = Arc::new(graph);
-        let sharded = Arc::new(preview_core::build_sharded(Arc::clone(&graph), strategy, 0));
+        let sharded = Arc::new(ShardedGraph::from_graph(Arc::clone(&graph), strategy));
         self.register_version(name.into(), graph, Some(sharded))
     }
 
@@ -349,8 +348,7 @@ impl GraphRegistry {
             let (new_graph, new_sharded, summary, spliced, touched_shards) = match current.sharded()
             {
                 Some(sharded) => {
-                    let applied = preview_core::apply_delta_parallel(sharded, delta, 0)
-                        .map_err(ServiceError::Delta)?;
+                    let applied = sharded.apply_delta(delta).map_err(ServiceError::Delta)?;
                     (
                         Arc::clone(applied.sharded.graph()),
                         Some(Arc::new(applied.sharded)),

@@ -185,18 +185,6 @@ impl PreviewRequest {
         self.scoring = scoring;
         self
     }
-
-    /// Sets the fork-join thread budget for scoring and discovery (`0` =
-    /// auto, `1` = sequential, `t` = at most `t` workers).
-    ///
-    /// The budget is carried on [`ScoringConfig::threads`]; it never changes
-    /// the served preview (parallel reductions merge in index order), so it
-    /// is excluded from the result-cache key — a `threads = 4` request and a
-    /// sequential one share cache entries.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.scoring.threads = threads;
-        self
-    }
 }
 
 /// Hashable canonicalisation of a [`ScoringConfig`].
@@ -205,9 +193,8 @@ impl PreviewRequest {
 /// `Hash`; the key stores their bit patterns instead. When key scoring is not
 /// random walk the parameters are irrelevant to the result and are zeroed so
 /// configurations that differ only in unused parameters share cache entries.
-/// The `threads` knob is deliberately absent: the fork-join layer guarantees
-/// byte-identical output at any thread count, so requests that differ only
-/// in parallelism share cache entries and memoized scoring.
+/// [`ScoringConfig::threads`] is deliberately absent: it is ignored, so
+/// requests that differ only in it share cache entries and memoized scoring.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct ScoringKey {
     key: KeyScoring,
@@ -466,19 +453,12 @@ mod tests {
 
     #[test]
     fn scoring_key_ignores_the_threads_knob() {
-        // Parallelism never changes results, so a `threads = 4` request must
-        // share cache entries and memoized scoring with a sequential one.
+        // `threads` is ignored, so a `threads = 4` request must share cache
+        // entries and memoized scoring with a `threads = 1` one.
         let sequential = ScoringConfig::coverage();
         let parallel = ScoringConfig::coverage().with_threads(4);
         assert_ne!(sequential, parallel);
         assert_eq!(ScoringKey::from(&sequential), ScoringKey::from(&parallel));
-    }
-
-    #[test]
-    fn request_builder_sets_threads() {
-        let space = PreviewSpace::concise(1, 2).unwrap();
-        let request = PreviewRequest::new("wiki", space).with_threads(8);
-        assert_eq!(request.scoring.threads, 8);
     }
 
     #[test]

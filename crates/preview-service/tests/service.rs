@@ -194,11 +194,9 @@ fn concurrent_clients_get_consistent_answers() {
     assert!(stats.latency_p99_us >= stats.latency_p50_us);
 }
 
-/// Hammer the shared fork-join pool from concurrent service requests: four
-/// workers each serving `threads = 4` discoveries contend for the global
-/// token budget, degrade gracefully when it is exhausted, and still produce
-/// answers byte-identical to a sequential request — with the cache disabled
-/// so every request really runs scoring + discovery.
+/// Concurrent uncached requests asking for `threads = 4` get answers
+/// byte-identical to an inline `threads = 1` request — with the cache
+/// disabled so every request really runs scoring + discovery.
 #[test]
 fn concurrent_parallel_requests_share_the_fork_join_pool_deterministically() {
     let registry = Arc::new(GraphRegistry::new());
@@ -207,7 +205,7 @@ fn concurrent_parallel_requests_share_the_fork_join_pool_deterministically() {
         ServiceConfig {
             workers: 4,
             queue_capacity: 32,
-            cache_capacity: 0, // no cache: every request exercises the pool
+            cache_capacity: 0, // no cache: every request runs discovery
             cache_shards: 1,
         },
         registry,
@@ -223,7 +221,7 @@ fn concurrent_parallel_requests_share_the_fork_join_pool_deterministically() {
         .iter()
         .map(|&space| {
             service
-                .execute_inline(&PreviewRequest::new("fig1", space).with_threads(1))
+                .execute_inline(&PreviewRequest::new("fig1", space))
                 .unwrap()
         })
         .collect();
@@ -235,7 +233,8 @@ fn concurrent_parallel_requests_share_the_fork_join_pool_deterministically() {
                 let mut responses = Vec::new();
                 for round in 0..20 {
                     let space = spaces[(client + round) % spaces.len()];
-                    let request = PreviewRequest::new("fig1", space).with_threads(4);
+                    let request = PreviewRequest::new("fig1", space)
+                        .with_scoring(ScoringConfig::coverage().with_threads(4));
                     responses.push((
                         (client + round) % spaces.len(),
                         service.submit_wait(request).unwrap(),

@@ -10,8 +10,6 @@
 //!   splice is byte-identical to a from-scratch rebuild),
 //! * [`core`] — the paper's contribution: preview model, scoring measures and
 //!   the brute-force / dynamic-programming / Apriori discovery algorithms,
-//!   parallelized over a deterministic fork-join pool (`core::par`) whose
-//!   outputs are byte-identical to the sequential path at any thread count,
 //!   plus a best-first branch-and-bound engine with admissible bounds and an
 //!   anytime mode (`core::BestFirstDiscovery`),
 //! * [`baseline`] — the YPS09 relational-database-summarisation baseline
@@ -47,8 +45,8 @@ pub mod prelude {
     };
     pub use preview_core::{
         AnytimeBudget, AnytimeOutcome, AprioriDiscovery, BestFirstDiscovery, BruteForceDiscovery,
-        DistanceConstraint, DynamicProgrammingDiscovery, FjPool, KeyScoring, NonKeyScoring,
-        Preview, PreviewDiscovery, PreviewSpace, ScoredSchema, ScoringConfig, SizeConstraint,
+        DistanceConstraint, DynamicProgrammingDiscovery, KeyScoring, NonKeyScoring, Preview,
+        PreviewDiscovery, PreviewSpace, ScoredSchema, ScoringConfig, SizeConstraint,
     };
     pub use preview_service::{
         Algorithm, GraphRegistry, PreviewRequest, PreviewResponse, PreviewService, ServiceConfig,
