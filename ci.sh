@@ -54,10 +54,8 @@ echo "==> obs-bench smoke workload (emits BENCH_obs.json)"
 # exact request counts. A tail-sampling scenario then injects one slow and
 # one slow+panicking request and asserts: both trace trees retained with
 # correct parent links, the slow tree's stage spans summing to its root,
-# the latency histogram's top bucket carrying the slow trace id as its
-# exemplar, the SLO burn rate flipping 0 -> positive, a single joined
-# "slow+panic" dump, and the Prometheus text export re-parsing numerically
-# equal to the snapshot.
+# the request-stage histogram's top bucket carrying the slow trace id as
+# its exemplar, and a single joined "slow+panic" dump.
 cargo run --release -p bench --bin obs-bench -- \
     --out BENCH_obs.json --check
 

@@ -25,20 +25,17 @@
 //! request/queue-wait histograms.
 //!
 //! A final *trace check* scenario drives tail-based sampling end to end:
-//! the Zipf workload runs under a slow-request threshold with windowed
-//! metrics and an SLO attached, then one injected-slow request and one
-//! injected-slow-and-panicking request are served from cold graphs. The
-//! scenario asserts both trace trees are retained with correct parent
-//! links, the slow tree's stage spans sum to its root span, the latency
-//! histogram's top bucket carries the slow trace id as its exemplar, the
-//! SLO burn rate flips from zero to positive, the slow+panic request is
-//! dumped exactly once with both reasons joined, and the Prometheus
-//! rendering re-parses numerically equal to the snapshot.
+//! the Zipf workload runs under a slow-request threshold, then one
+//! injected-slow request and one injected-slow-and-panicking request are
+//! served from cold graphs. The scenario asserts both trace trees are
+//! retained with correct parent links, the slow tree's stage spans sum to
+//! its root span, the request-stage histogram's top bucket carries the slow
+//! trace id as its exemplar, and the slow+panic request is dumped exactly
+//! once with both reasons joined.
 //!
 //! ```text
 //! cargo run -p bench --release --bin obs-bench
 //! cargo run -p bench --release --bin obs-bench -- --out BENCH_obs.json --check
-//! cargo run -p bench --release --bin obs-bench -- --top   # one-shot dashboard
 //! ```
 
 use std::process::ExitCode;
@@ -50,8 +47,7 @@ use bench::util::parse_checked as parse;
 use datagen::FreebaseDomain;
 use entity_graph::EntityGraph;
 use preview_obs::{
-    render_top, roundtrip_failures, Counter, DumpReason, JsonValue, ObsConfig, Recorder,
-    RetainReason, SloSpec, Stage, TimeSeriesConfig, TraceTree,
+    Counter, DumpReason, JsonValue, ObsConfig, Recorder, RetainReason, Stage, TraceTree,
 };
 use preview_service::{GraphRegistry, PreviewService, ServiceConfig};
 
@@ -67,7 +63,6 @@ struct Options {
     rounds: usize,
     out: Option<String>,
     check: bool,
-    top: bool,
 }
 
 impl Default for Options {
@@ -82,7 +77,6 @@ impl Default for Options {
             rounds: 3,
             out: None,
             check: false,
-            top: false,
         }
     }
 }
@@ -114,7 +108,6 @@ fn parse_args() -> Result<Options, String> {
             "--rounds" => options.rounds = parse(&value_of("--rounds")?, |v: usize| v >= 1)?,
             "--out" => options.out = Some(value_of("--out")?),
             "--check" => options.check = true,
-            "--top" => options.top = true,
             other => return Err(format!("unknown flag {other:?}")),
         }
     }
@@ -266,15 +259,6 @@ fn snapshot_failures(json: &str, requests: u64) -> Vec<String> {
         }
         None => failures.push("counters object missing".to_string()),
     }
-    let latency_count = parsed
-        .get("service_latency")
-        .and_then(|l| l.get("count"))
-        .and_then(|c| c.as_u64());
-    if latency_count != Some(requests) {
-        failures.push(format!(
-            "service_latency count {latency_count:?} != {requests}"
-        ));
-    }
     if parsed.get("enabled") != Some(&JsonValue::Bool(true)) {
         failures.push("snapshot does not report enabled=true".to_string());
     }
@@ -340,21 +324,16 @@ fn tree_failures(tree: &TraceTree, label: &str, check_sum: bool) -> Vec<String> 
 
 /// Outcome of the tail-sampling end-to-end scenario.
 struct TraceCheck {
-    burn_before: f64,
-    burn_after: f64,
     retained: usize,
     failures: Vec<String>,
-    snapshot: preview_obs::ObsSnapshot,
 }
 
 /// Drives tail-based sampling end to end: the Zipf workload under a
-/// slow-request threshold + windowed metrics + one SLO, then an injected
-/// 400ms request on a cold graph and an injected slow-and-panicking
-/// request on another, asserting retention, parent links, span sums,
-/// exemplar linkage, dump dedup, SLO burn flip, and export round-trip.
+/// slow-request threshold, then an injected 400ms request on a cold graph
+/// and an injected slow-and-panicking request on another, asserting
+/// retention, parent links, span sums, exemplar linkage, and dump dedup.
 fn trace_check(graph: &EntityGraph, workload: &ServiceWorkload, options: &Options) -> TraceCheck {
     const SLOW_THRESHOLD_US: u64 = 250_000;
-    const SLO_THRESHOLD_US: u64 = 50_000;
     let mut failures = Vec::new();
 
     let recorder = Arc::new(Recorder::new(
@@ -381,28 +360,15 @@ fn trace_check(graph: &EntityGraph, workload: &ServiceWorkload, options: &Option
         registry,
         Arc::clone(&recorder),
     );
-    service.configure_timeseries(TimeSeriesConfig {
-        resolution_us: 0,
-        window_ticks: 60,
-    });
-    service.add_slo(SloSpec::new("latency-p99", 0.99, SLO_THRESHOLD_US));
-    service.tick_metrics(); // seed the baseline
 
     // Phase 1: the plain workload, submitted sequentially so queue wait
-    // cannot push honest requests over the SLO threshold.
+    // cannot push honest requests over the slow threshold.
     for request in &workload.requests {
         service
             .submit_wait(request.clone())
             .expect("workload requests succeed");
     }
-    service.tick_metrics();
     let before = service.snapshot();
-    let burn_before = before.slos[0].slow_burn;
-    if burn_before != 0.0 {
-        failures.push(format!(
-            "SLO burn is {burn_before} before any injected slowness"
-        ));
-    }
     if !before.traces.is_empty() {
         failures.push(format!(
             "{} trees retained before any retention trigger",
@@ -417,7 +383,6 @@ fn trace_check(graph: &EntityGraph, workload: &ServiceWorkload, options: &Option
     let slow_response = service
         .submit_wait(slow_request)
         .expect("slow request succeeds");
-    service.tick_metrics();
     let slow_trace = slow_response.trace.expect("worker-served response traced");
 
     // Phase 3: one injected slow-and-panicking request on another cold
@@ -431,12 +396,6 @@ fn trace_check(graph: &EntityGraph, workload: &ServiceWorkload, options: &Option
     }
 
     let snapshot = service.snapshot();
-    let burn_after = snapshot.slos[0].slow_burn;
-    if burn_after <= 0.0 {
-        failures.push(format!(
-            "SLO burn did not flip positive after the injected slow tail ({burn_after})"
-        ));
-    }
 
     // Retention: exactly the two injected requests, each with the right
     // typed reasons, well-formed parent links, and the slow tree's stage
@@ -478,39 +437,26 @@ fn trace_check(graph: &EntityGraph, workload: &ServiceWorkload, options: &Option
         failures.push(format!("{joined} slow+panic dumps, expected exactly 1"));
     }
 
-    // Exemplar linkage: the top non-empty service-latency bucket (the
+    // Exemplar linkage: the top non-empty request-stage bucket (the
     // injected 400ms request) carries the slow trace id.
-    match &snapshot.service_latency {
-        None => failures.push("service latency histogram missing".to_string()),
-        Some(latency) => {
-            let top = latency.bucket_counts().iter().rposition(|&c| c > 0);
-            match top {
-                None => failures.push("service latency histogram empty".to_string()),
-                Some(bucket) => {
-                    let exemplar = latency.bucket_exemplars()[bucket];
-                    if exemplar != slow_trace.as_u64() {
-                        failures.push(format!(
-                            "top-bucket exemplar {exemplar:#x} != slow trace {:#x}",
-                            slow_trace.as_u64()
-                        ));
-                    }
-                }
+    let latency = recorder.stage_histogram(Stage::Request).snapshot();
+    match latency.bucket_counts().iter().rposition(|&c| c > 0) {
+        None => failures.push("request-stage histogram empty".to_string()),
+        Some(bucket) => {
+            let exemplar = latency.bucket_exemplars()[bucket];
+            if exemplar != slow_trace.as_u64() {
+                failures.push(format!(
+                    "top-bucket exemplar {exemplar:#x} != slow trace {:#x}",
+                    slow_trace.as_u64()
+                ));
             }
         }
     }
 
-    // The Prometheus rendering of this snapshot re-parses numerically equal.
-    for failure in roundtrip_failures(&snapshot) {
-        failures.push(format!("prometheus round-trip: {failure}"));
-    }
-
     recorder.disable();
     TraceCheck {
-        burn_before,
-        burn_after,
         retained: snapshot.traces.len(),
         failures,
-        snapshot,
     }
 }
 
@@ -571,15 +517,12 @@ fn main() -> ExitCode {
     drop(service);
     let schema_failures = snapshot_failures(&snapshot_json, workload.requests.len() as u64);
 
-    // Tail-sampling end-to-end scenario (trace retention, exemplars, SLO
-    // burn flip, dump dedup, Prometheus round-trip).
+    // Tail-sampling end-to-end scenario (trace retention, exemplars, dump
+    // dedup).
     eprintln!("[obs-bench] running trace-retention scenario ...");
     let trace = trace_check(&graph, &workload, &options);
     for failure in &trace.failures {
         eprintln!("[obs-bench] trace check: {failure}");
-    }
-    if options.top {
-        println!("{}", render_top(&trace.snapshot));
     }
 
     let json = format!(
@@ -589,8 +532,7 @@ fn main() -> ExitCode {
             " \"series\":{{\"baseline_s\":{:.6},\"disabled_s\":{:.6},\"enabled_s\":{:.6}}},\n",
             " \"overhead\":{{\"disabled\":{:.6},\"enabled\":{:.6}}},\n",
             " \"check\":{{\"disabled_floor\":{},\"enabled_floor\":{},\"snapshot_sound\":{}}},\n",
-            " \"trace_check\":{{\"burn_before\":{:.6},\"burn_after\":{:.6},",
-            "\"retained\":{},\"sound\":{}}},\n",
+            " \"trace_check\":{{\"retained\":{},\"sound\":{}}},\n",
             " \"snapshot\":{}}}"
         ),
         workload.graph_name,
@@ -608,8 +550,6 @@ fn main() -> ExitCode {
         DISABLED_OVERHEAD_FLOOR,
         ENABLED_OVERHEAD_FLOOR,
         schema_failures.is_empty(),
-        trace.burn_before,
-        trace.burn_after,
         trace.retained,
         trace.failures.is_empty(),
         snapshot_json,
@@ -648,11 +588,9 @@ fn main() -> ExitCode {
         }
         eprintln!(
             "[obs-bench] checks passed: disabled {:+.2}%, enabled {:+.2}%, snapshot sound, \
-             trace retention sound (burn {:.3} -> {:.3})",
+             trace retention sound",
             minima.disabled_overhead * 100.0,
-            minima.enabled_overhead * 100.0,
-            trace.burn_before,
-            trace.burn_after
+            minima.enabled_overhead * 100.0
         );
     }
     ExitCode::SUCCESS

@@ -226,16 +226,6 @@ impl HistogramSnapshot {
         &self.exemplars
     }
 
-    /// Number of recorded values strictly greater than `threshold` that the
-    /// bucket layout can prove: only buckets whose *lower* bound exceeds
-    /// `threshold` are counted, so values sharing the threshold's bucket are
-    /// excluded (an undercount of at most one bucket width — the SLO layer
-    /// documents this quantization).
-    pub fn count_above(&self, threshold: u64) -> u64 {
-        let first = bucket_index(threshold) + 1;
-        self.counts[first.min(BUCKETS)..].iter().sum()
-    }
-
     /// Nearest-rank quantile, reported as the lower bound of the bucket the
     /// rank-`⌈q·n⌉` value landed in (`q` in `0.0..=1.0`; `0` when empty).
     ///
@@ -243,11 +233,17 @@ impl HistogramSnapshot {
     /// bound of the bucket containing the true nearest-rank value — an
     /// underestimate by at most one bucket width, i.e. a relative error of
     /// at most `1/32` (and exact below the linear cutoff of 32).
+    ///
+    /// The rank is taken against the bucket total, not [`count`](Self::count):
+    /// a snapshot racing concurrent records reads `count` after the buckets,
+    /// so `count` may run ahead of them, and ranking against it would walk
+    /// past the last recorded bucket.
     pub fn quantile(&self, q: f64) -> u64 {
-        if self.count == 0 {
+        let total: u64 = self.counts.iter().sum();
+        if total == 0 {
             return 0;
         }
-        let target = ((q.clamp(0.0, 1.0) * self.count as f64).ceil() as u64).clamp(1, self.count);
+        let target = ((q.clamp(0.0, 1.0) * total as f64).ceil() as u64).clamp(1, total);
         let mut cumulative = 0u64;
         for (index, &bucket) in self.counts.iter().enumerate() {
             cumulative += bucket;
@@ -261,7 +257,8 @@ impl HistogramSnapshot {
     /// Adds every counter of `other` into `self`. Merging snapshots of two
     /// histograms is bucket-for-bucket identical to recording both value
     /// streams into one histogram. `other`'s non-zero exemplars win (it is
-    /// the later window when merging time-series deltas).
+    /// the later window when merging consecutive
+    /// [`delta_since`](Self::delta_since) results).
     pub fn merge(&mut self, other: &HistogramSnapshot) {
         for (mine, theirs) in self.counts.iter_mut().zip(&other.counts) {
             *mine += theirs;
@@ -283,7 +280,8 @@ impl HistogramSnapshot {
     /// subtractive: the delta reports `self`'s max when anything was
     /// recorded in the window and `0` otherwise — a cumulative max is
     /// monotone and unchanged across an empty window, which keeps
-    /// delta-then-merge associative (the time-series proptests pin this).
+    /// delta-then-merge associative (the `histogram_props` proptests pin
+    /// merged consecutive deltas against the first-to-last delta).
     /// Exemplars carry `self`'s stamps (cumulative exemplars never reset,
     /// so the later snapshot's stamps are the window's freshest links).
     pub fn delta_since(&self, earlier: &HistogramSnapshot) -> HistogramSnapshot {
@@ -396,16 +394,23 @@ mod tests {
     }
 
     #[test]
-    fn count_above_counts_full_buckets_past_the_threshold() {
+    fn quantiles_rank_against_the_bucket_total_when_count_runs_ahead() {
         let h = Histogram::new();
-        for v in [1u64, 10, 100, 1_000, 10_000] {
+        for v in [10u64, 20, 5_000] {
             h.record(v);
         }
-        let s = h.snapshot();
-        assert_eq!(s.count_above(0), 5);
-        assert_eq!(s.count_above(100), 2);
-        assert_eq!(s.count_above(10_000), 0);
-        assert_eq!(HistogramSnapshot::empty().count_above(0), 0);
+        // A snapshot racing a record can read `count` after that record's
+        // bucket increment was missed.
+        let mut s = h.snapshot();
+        s.count += 1;
+        let top = bucket_lower(bucket_index(5_000));
+        assert_eq!(s.quantile(1.0), top);
+        assert_eq!(s.quantile(0.99), top);
+        assert_eq!(s.quantile(0.5), 20);
+
+        let mut empty = HistogramSnapshot::empty();
+        empty.count = 1;
+        assert_eq!(empty.quantile(1.0), 0);
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //!   [`FlightDump`]s, per-shard memory — exports through one
 //!   [`ObsSnapshot::to_json`] schema shared by all bench binaries.
 //!
-//! The crate observes at three layers:
+//! The crate observes at two layers:
 //!
 //! 1. **Per-request trace trees** — a [`TraceId`] minted at service
 //!    ingress links every span of one request into a parent-linked
@@ -25,9 +25,8 @@
 //!    (slow / errored / panicked / 1-in-N sampled, see [`RetainReason`])
 //!    and histogram buckets carry the latest trace as an exemplar.
 //! 2. **Aggregate histograms** — exact log-linear per-stage [`Histogram`]s
-//!    and [`Counter`]s, cumulative since process start.
-//! 3. **Windowed SLOs** — a [`TimeSeries`] ring of snapshot deltas feeding
-//!    sliding-window rates/quantiles and [`SloSpec`] burn-rate evaluation.
+//!    and [`Counter`]s, cumulative since process start. A window is the
+//!    [`HistogramSnapshot::delta_since`] of two snapshots.
 //!
 //! # Layout
 //!
@@ -38,9 +37,7 @@
 //! | [`span!`] / [`SpanGuard`] | RAII stage timing on the attached recorder |
 //! | [`TraceGuard`] | per-request tree building |
 //! | [`FlightRing`] / [`FlightDump`] | seqlock ring of recent span events; dumped on panic / slow request / demand |
-//! | [`TimeSeries`] / [`SloSpec`] | windowed deltas, rates, and burn-rate evaluation |
 //! | [`ObsSnapshot`] | the JSON export consumed by `PreviewService::snapshot()` and every bench |
-//! | [`render_prometheus`] / [`render_top`] | text-exposition and dashboard exporters over the snapshot |
 //! | [`JsonValue`] | minimal parser used by `obs-bench --check` to validate the export |
 //!
 //! # Example
@@ -65,22 +62,15 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-mod export;
 mod flight;
 mod histogram;
 mod json;
 mod recorder;
 mod rss;
-mod slo;
 mod snapshot;
 mod stage;
-mod timeseries;
 mod trace;
 
-pub use export::{
-    parse_prometheus_text, render_prometheus, render_top, roundtrip_failures, snapshot_is_blank,
-    PromSample,
-};
 pub use flight::{FlightDump, FlightRing, SpanEvent};
 pub use histogram::{bucket_index, bucket_lower, Histogram, HistogramSnapshot, BUCKETS};
 pub use json::{write_json_f64, write_json_string, JsonValue};
@@ -89,10 +79,8 @@ pub use recorder::{
     SpanGuard, TraceGuard,
 };
 pub use rss::peak_rss_bytes;
-pub use slo::{SloSpec, SloStatus};
-pub use snapshot::{MemorySection, ObsSnapshot, RouteCount, ShardMemory};
+pub use snapshot::{MemorySection, ObsSnapshot, ShardMemory};
 pub use stage::{Counter, Stage, COUNTER_COUNT, STAGE_COUNT};
-pub use timeseries::{MetricsCumulative, TickDelta, TimeSeries, TimeSeriesConfig, WindowSummary};
 pub use trace::{RetainReason, TraceId, TraceOutcome, TraceSpan, TraceStore, TraceTree};
 
 /// Compile-time guarantees for the types that cross thread boundaries: the
@@ -122,10 +110,5 @@ mod static_assertions {
         assert_send_sync_clone::<TraceId>();
         assert_send_sync_clone::<TraceTree>();
         assert_send_sync_clone::<RetainReason>();
-        assert_send_sync_clone::<RouteCount>();
-        assert_send_sync_clone::<SloSpec>();
-        assert_send_sync_clone::<SloStatus>();
-        assert_send_sync_clone::<WindowSummary>();
-        assert_send_sync_clone::<MetricsCumulative>();
     };
 }

@@ -9,11 +9,9 @@
 
 use crate::flight::FlightDump;
 use crate::histogram::{bucket_lower, HistogramSnapshot};
-use crate::json::{write_json_f64, write_json_string};
+use crate::json::write_json_f64;
 use crate::recorder::Recorder;
-use crate::slo::SloStatus;
 use crate::stage::{Counter, Stage};
-use crate::timeseries::WindowSummary;
 use crate::trace::{TraceId, TraceTree};
 
 /// Memory accounting for one shard, mirrored from the graph layer's
@@ -52,24 +50,10 @@ pub struct MemorySection {
     pub shards: Vec<ShardMemory>,
 }
 
-/// Requests served for one `(graph, algorithm)` route — the bounded label
-/// set the Prometheus exporter is allowed to emit.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RouteCount {
-    /// The requested graph's name.
-    pub graph: String,
-    /// The resolved algorithm's stable name.
-    pub algorithm: String,
-    /// Requests completed for this route.
-    pub requests: u64,
-}
-
 /// A point-in-time export of a [`Recorder`] plus serving-layer context.
 ///
 /// Produced by [`Recorder::snapshot`]; the serving layer fills in
-/// [`service_latency`](Self::service_latency), [`memory`](Self::memory),
-/// [`routes`](Self::routes), [`window`](Self::window), and
-/// [`slos`](Self::slos) before rendering.
+/// [`memory`](Self::memory) before rendering.
 #[derive(Debug, Clone)]
 pub struct ObsSnapshot {
     /// Whether the recorder was enabled at snapshot time.
@@ -80,9 +64,6 @@ pub struct ObsSnapshot {
     pub counters: Vec<(Counter, u64)>,
     /// Every stage's duration histogram, in [`Stage::ALL`] order.
     pub stages: Vec<(Stage, HistogramSnapshot)>,
-    /// End-to-end service latency histogram, when the serving layer
-    /// provides one (exact counts, not sampled).
-    pub service_latency: Option<HistogramSnapshot>,
     /// Memory breakdown of the live graph version, when available.
     pub memory: Option<MemorySection>,
     /// Peak resident set size of the process, when the platform exposes it.
@@ -91,18 +72,12 @@ pub struct ObsSnapshot {
     pub dumps: Vec<FlightDump>,
     /// Tail-sampled trace trees, oldest first.
     pub traces: Vec<TraceTree>,
-    /// Per-route request totals, when the serving layer provides them.
-    pub routes: Vec<RouteCount>,
-    /// Sliding-window rates and quantiles, when a time series is running.
-    pub window: Option<WindowSummary>,
-    /// Evaluated SLO statuses, when the serving layer registered specs.
-    pub slos: Vec<SloStatus>,
 }
 
 impl Recorder {
     /// Exports counters, per-stage histograms, ring totals, retained dumps,
     /// and the current peak RSS. The serving layer adds
-    /// [`ObsSnapshot::service_latency`] and [`ObsSnapshot::memory`].
+    /// [`ObsSnapshot::memory`].
     pub fn snapshot(&self) -> ObsSnapshot {
         ObsSnapshot {
             enabled: self.is_enabled(),
@@ -112,14 +87,10 @@ impl Recorder {
                 .iter()
                 .map(|&s| (s, self.stage_histogram(s).snapshot()))
                 .collect(),
-            service_latency: None,
             memory: None,
             peak_rss_bytes: crate::peak_rss_bytes(),
             dumps: self.dumps(),
             traces: self.traces().trees(),
-            routes: Vec::new(),
-            window: None,
-            slos: Vec::new(),
         }
     }
 }
@@ -179,12 +150,7 @@ impl ObsSnapshot {
             out.push_str(&format!("\"{}\":", stage.name()));
             write_histogram(&mut out, hist);
         }
-        out.push_str("},\"service_latency\":");
-        match &self.service_latency {
-            Some(hist) => write_histogram(&mut out, hist),
-            None => out.push_str("null"),
-        }
-        out.push_str(",\"memory\":");
+        out.push_str("},\"memory\":");
         match &self.memory {
             Some(memory) => {
                 out.push_str(&format!(
@@ -234,29 +200,6 @@ impl ObsSnapshot {
             }
             out.push_str(&tree.to_json());
         }
-        out.push_str("],\"routes\":[");
-        for (index, route) in self.routes.iter().enumerate() {
-            if index > 0 {
-                out.push(',');
-            }
-            out.push_str("{\"graph\":");
-            write_json_string(&mut out, &route.graph);
-            out.push_str(",\"algorithm\":");
-            write_json_string(&mut out, &route.algorithm);
-            out.push_str(&format!(",\"requests\":{}}}", route.requests));
-        }
-        out.push_str("],\"window\":");
-        match &self.window {
-            Some(window) => out.push_str(&window.to_json()),
-            None => out.push_str("null"),
-        }
-        out.push_str(",\"slos\":[");
-        for (index, slo) in self.slos.iter().enumerate() {
-            if index > 0 {
-                out.push(',');
-            }
-            out.push_str(&slo.to_json());
-        }
         out.push_str("]}");
         out
     }
@@ -273,13 +216,10 @@ mod tests {
     fn snapshot_json_parses_and_contains_every_stage_and_counter() {
         let recorder = Recorder::new(ObsConfig::default());
         recorder.record_span(Stage::Discovery, 1, 10, 250, 3);
+        recorder.record_span_traced(Stage::Request, 0, 0, 300, 1, 0x2a, 1, 0);
         recorder.add_counter(Counter::Publishes, 2);
         recorder.capture_dump(DumpReason::OnDemand, "manual");
         let mut snapshot = recorder.snapshot();
-        let latency = crate::Histogram::new();
-        latency.record(100);
-        latency.record(300);
-        snapshot.service_latency = Some(latency.snapshot());
         snapshot.memory = Some(MemorySection {
             shard_count: 1,
             entities: 10,
@@ -324,9 +264,16 @@ mod tests {
         }
         assert_eq!(counters.get("publishes").unwrap().as_u64(), Some(2));
 
-        let latency = parsed.get("service_latency").unwrap();
-        assert_eq!(latency.get("count").unwrap().as_u64(), Some(2));
-        assert_eq!(latency.get("max_us").unwrap().as_u64(), Some(300));
+        // A traced span's bucket renders its trace id as the exemplar.
+        let request = stages.get("request").unwrap();
+        assert_eq!(request.get("count").unwrap().as_u64(), Some(1));
+        assert_eq!(request.get("max_us").unwrap().as_u64(), Some(300));
+        let exemplars = request.get("exemplars").unwrap().as_array().unwrap();
+        assert_eq!(exemplars.len(), 1);
+        assert_eq!(
+            exemplars[0].get("trace").unwrap().as_str(),
+            Some("000000000000002a")
+        );
 
         let memory = parsed.get("memory").unwrap();
         assert_eq!(memory.get("shard_count").unwrap().as_u64(), Some(1));
@@ -342,73 +289,15 @@ mod tests {
         assert_eq!(dumps.len(), 1);
         assert_eq!(dumps[0].get("reason").unwrap().as_str(), Some("on_demand"));
 
-        assert_eq!(parsed.get("events_recorded").unwrap().as_u64(), Some(1));
+        assert_eq!(parsed.get("events_recorded").unwrap().as_u64(), Some(2));
     }
 
     #[test]
     fn optional_sections_render_null() {
         let snapshot = Recorder::default().snapshot();
         let parsed = JsonValue::parse(&snapshot.to_json()).unwrap();
-        assert_eq!(parsed.get("service_latency"), Some(&JsonValue::Null));
         assert_eq!(parsed.get("memory"), Some(&JsonValue::Null));
-        assert_eq!(parsed.get("window"), Some(&JsonValue::Null));
         assert_eq!(parsed.get("enabled"), Some(&JsonValue::Bool(false)));
         assert!(parsed.get("traces").unwrap().as_array().unwrap().is_empty());
-        assert!(parsed.get("routes").unwrap().as_array().unwrap().is_empty());
-        assert!(parsed.get("slos").unwrap().as_array().unwrap().is_empty());
-    }
-
-    #[test]
-    fn snapshot_json_carries_routes_window_slos_and_exemplars() {
-        use crate::slo::SloSpec;
-        use crate::stage::Counter;
-        use crate::timeseries::{MetricsCumulative, TimeSeries, TimeSeriesConfig};
-
-        let recorder = Recorder::new(ObsConfig::default());
-        let latency = crate::Histogram::new();
-        let mut series = TimeSeries::new(TimeSeriesConfig {
-            resolution_us: 0,
-            window_ticks: 4,
-        });
-        let sample = |at_us: u64, latency: &crate::Histogram| MetricsCumulative {
-            at_us,
-            counters: Counter::ALL.iter().map(|&c| (c, 0)).collect(),
-            service_latency: latency.snapshot(),
-        };
-        series.tick(sample(0, &latency));
-        latency.record_with_exemplar(150, 0x2a);
-        series.tick(sample(1_000_000, &latency));
-
-        let mut snapshot = recorder.snapshot();
-        snapshot.service_latency = Some(latency.snapshot());
-        snapshot.routes = vec![RouteCount {
-            graph: "fig1".to_string(),
-            algorithm: "dynamic-programming".to_string(),
-            requests: 7,
-        }];
-        snapshot.window = Some(series.window_summary(0));
-        snapshot.slos = vec![SloSpec::new("latency-p99", 0.99, 50_000).evaluate(&series)];
-
-        let parsed = JsonValue::parse(&snapshot.to_json()).unwrap();
-        let routes = parsed.get("routes").unwrap().as_array().unwrap();
-        assert_eq!(routes[0].get("graph").unwrap().as_str(), Some("fig1"));
-        assert_eq!(routes[0].get("requests").unwrap().as_u64(), Some(7));
-        let window = parsed.get("window").unwrap();
-        assert_eq!(window.get("requests").unwrap().as_u64(), Some(1));
-        let slos = parsed.get("slos").unwrap().as_array().unwrap();
-        assert_eq!(slos[0].get("name").unwrap().as_str(), Some("latency-p99"));
-        assert_eq!(slos[0].get("breached"), Some(&JsonValue::Bool(false)));
-        let exemplars = parsed
-            .get("service_latency")
-            .unwrap()
-            .get("exemplars")
-            .unwrap()
-            .as_array()
-            .unwrap();
-        assert_eq!(exemplars.len(), 1);
-        assert_eq!(
-            exemplars[0].get("trace").unwrap().as_str(),
-            Some("000000000000002a")
-        );
     }
 }

@@ -1,6 +1,6 @@
 //! Property tests for the exact log-linear histogram: record/merge
-//! round-trips, quantiles tracking a sorted-vector reference within one
-//! bucket, and top-bucket saturation.
+//! round-trips, `delta_since` composed with `merge`, quantiles tracking a
+//! sorted-vector reference within one bucket, and top-bucket saturation.
 //!
 //! The vendored proptest supports integer-range strategies only, so value
 //! vectors are derived from a proptest-chosen seed via `ChaCha8Rng` (the
@@ -60,6 +60,61 @@ proptest! {
         let mut padded = whole.clone();
         padded.merge(&HistogramSnapshot::empty());
         prop_assert_eq!(&padded, &whole);
+    }
+
+    /// Snapshots taken between random batches recorded into one histogram:
+    /// merging the consecutive `delta_since`s reproduces the first-to-last
+    /// `delta_since` exactly (bucket counts, count, sum, max and exemplars),
+    /// and so does joining the merged deltas on either side of every split
+    /// point. Per-layer bench numbers are `delta_since` results, so this
+    /// pins that windows of a cumulative histogram add up.
+    #[test]
+    fn consecutive_deltas_merge_to_the_first_to_last_delta(
+        seed in 0u64..10_000,
+        batches in 1usize..40,
+    ) {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let h = Histogram::new();
+        let mut snapshots = vec![h.snapshot()];
+        for _ in 0..batches {
+            for _ in 0..rng.gen_range(0usize..20) {
+                let exp = rng.gen_range(0u32..36);
+                let value = rng.gen_range(0..=(1u64 << exp));
+                h.record_with_exemplar(value, rng.gen_range(1u64..999));
+            }
+            snapshots.push(h.snapshot());
+        }
+        let first = &snapshots[0];
+        let last = &snapshots[batches];
+        let deltas: Vec<HistogramSnapshot> = snapshots
+            .windows(2)
+            .map(|pair| pair[1].delta_since(&pair[0]))
+            .collect();
+
+        // prefixes[m] merges deltas[..m]; suffixes[m] merges deltas[m..].
+        let mut prefixes = vec![HistogramSnapshot::empty()];
+        for delta in &deltas {
+            let mut next = prefixes[prefixes.len() - 1].clone();
+            next.merge(delta);
+            prefixes.push(next);
+        }
+        let mut suffixes = vec![HistogramSnapshot::empty()];
+        for delta in deltas.iter().rev() {
+            let mut next = delta.clone();
+            next.merge(&suffixes[suffixes.len() - 1]);
+            suffixes.push(next);
+        }
+        suffixes.reverse();
+
+        let direct = last.delta_since(first);
+        prop_assert_eq!(&prefixes[batches], &direct);
+        prop_assert_eq!(direct.count(), h.count());
+        for mid in 0..=batches {
+            prop_assert_eq!(&prefixes[mid], &snapshots[mid].delta_since(first));
+            let mut joined = prefixes[mid].clone();
+            joined.merge(&suffixes[mid]);
+            prop_assert_eq!(&joined, &direct);
+        }
     }
 
     /// Every quantile equals the lower bound of the bucket holding the true

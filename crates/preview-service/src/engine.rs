@@ -9,8 +9,8 @@ use std::time::{Duration, Instant};
 
 use entity_graph::{DeltaSummary, GraphDelta};
 use preview_obs::{
-    Counter, DumpReason, MemorySection, MetricsCumulative, ObsSnapshot, Recorder, ShardMemory,
-    SloSpec, Stage, TimeSeries, TimeSeriesConfig, TraceId, TraceOutcome,
+    Counter, DumpReason, MemorySection, ObsSnapshot, Recorder, ShardMemory, Stage, TraceId,
+    TraceOutcome,
 };
 
 use preview_core::{AnytimeBudget, BestFirstDiscovery};
@@ -103,7 +103,7 @@ struct Shared {
     inject_panic: AtomicBool,
     /// Fault injection (see [`PreviewService::inject_delay_next`]): the next
     /// computed request sleeps this many microseconds inside its discovery
-    /// span, exercising slow-request retention and SLO burn end to end.
+    /// span, exercising slow-request retention end to end.
     inject_delay_us: AtomicU64,
 }
 
@@ -352,16 +352,6 @@ pub struct PreviewService {
     queue: Arc<BoundedQueue<Job>>,
     workers: Vec<JoinHandle<()>>,
     shutting_down: AtomicBool,
-    /// Windowed metrics ring + SLO specs, fed by [`tick_metrics`]
-    /// (PreviewService::tick_metrics).
-    metrics: Mutex<MetricsState>,
-}
-
-/// The windowed-metrics layer: a ring of cumulative-sample deltas plus the
-/// SLOs evaluated against it.
-struct MetricsState {
-    series: TimeSeries,
-    slos: Vec<SloSpec>,
 }
 
 impl std::fmt::Debug for PreviewService {
@@ -418,10 +408,6 @@ impl PreviewService {
             queue,
             workers,
             shutting_down: AtomicBool::new(false),
-            metrics: Mutex::new(MetricsState {
-                series: TimeSeries::new(TimeSeriesConfig::default()),
-                slos: Vec::new(),
-            }),
         }
     }
 
@@ -441,63 +427,15 @@ impl PreviewService {
         &self.shared.obs
     }
 
-    /// A unified observability snapshot: counters, per-stage histograms,
-    /// retained flight dumps and trace trees, per-route request counts, the
-    /// exact end-to-end service latency histogram (with trace-id
-    /// exemplars), the current metrics window and SLO statuses, and the
-    /// memory breakdown of the latest sharded graph version (when one is
+    /// A unified observability snapshot: counters, per-stage histograms
+    /// (the `request` stage, with trace-id exemplars, is the end-to-end
+    /// latency), retained flight dumps and trace trees, and the memory
+    /// breakdown of the latest sharded graph version (when one is
     /// registered).
     pub fn snapshot(&self) -> ObsSnapshot {
         let mut snapshot = self.shared.obs.snapshot();
-        snapshot.service_latency = Some(self.shared.stats.latency_histogram());
-        snapshot.routes = self.shared.stats.routes();
         snapshot.memory = self.latest_sharded_memory();
-        {
-            let metrics = lock_unpoisoned(&self.metrics);
-            if metrics.series.tick_count() > 0 {
-                snapshot.window = Some(metrics.series.window_summary(0));
-            }
-            snapshot.slos = metrics
-                .slos
-                .iter()
-                .map(|slo| slo.evaluate(&metrics.series))
-                .collect();
-        }
         snapshot
-    }
-
-    /// Replaces the windowed-metrics configuration (ring resolution and
-    /// window length). Any previously accumulated ticks are discarded; the
-    /// next [`tick_metrics`](Self::tick_metrics) call re-seeds the baseline.
-    pub fn configure_timeseries(&self, config: TimeSeriesConfig) {
-        lock_unpoisoned(&self.metrics).series = TimeSeries::new(config);
-    }
-
-    /// Registers an SLO to be evaluated against the metrics window on every
-    /// [`snapshot`](Self::snapshot).
-    pub fn add_slo(&self, slo: SloSpec) {
-        lock_unpoisoned(&self.metrics).slos.push(slo);
-    }
-
-    /// Takes one cumulative metrics sample (service counters + the exact
-    /// end-to-end latency histogram) and offers it to the windowed ring.
-    /// Call this periodically — e.g. once per scrape. Returns `true` when
-    /// the sample closed a tick (the first call only seeds the baseline,
-    /// and calls inside the configured resolution are coalesced).
-    pub fn tick_metrics(&self) -> bool {
-        let obs = &self.shared.obs;
-        let sample = MetricsCumulative {
-            at_us: obs.epoch_us(),
-            counters: Counter::ALL.iter().map(|&c| (c, obs.counter(c))).collect(),
-            service_latency: self.shared.stats.latency_histogram(),
-        };
-        lock_unpoisoned(&self.metrics).series.offer(sample)
-    }
-
-    /// The current [`snapshot`](Self::snapshot) rendered in Prometheus text
-    /// exposition format (suitable for a `/metrics` scrape endpoint).
-    pub fn prometheus_text(&self) -> String {
-        preview_obs::render_prometheus(&self.snapshot())
     }
 
     /// Fault injection: the next *computed* (cache-missing) request panics
@@ -512,8 +450,8 @@ impl PreviewService {
 
     /// Fault injection: the next *computed* (cache-missing) request sleeps
     /// `delay_us` microseconds inside its discovery span, exercising
-    /// slow-request retention and SLO burn-rate paths end to end. Meant for
-    /// tests and observability drills, not production traffic.
+    /// slow-request retention end to end. Meant for tests and
+    /// observability drills, not production traffic.
     pub fn inject_delay_next(&self, delay_us: u64) {
         self.shared
             .inject_delay_us
@@ -770,10 +708,7 @@ fn worker_loop(shared: &Shared, queue: &BoundedQueue<Job>) {
                 response.trace = Some(job.trace);
                 let latency = response.latency();
                 latency_us = latency.as_micros().min(u128::from(u64::MAX)) as u64;
-                shared.stats.record_completed(latency, Some(job.trace));
-                shared
-                    .stats
-                    .record_route(&response.graph, response.algorithm.name());
+                shared.stats.record_completed(latency);
                 (
                     TraceOutcome::Ok,
                     format!("graph={} latency_us={latency_us}", job.request.graph),
@@ -1180,41 +1115,6 @@ mod tests {
     }
 
     #[test]
-    fn metrics_window_slos_and_prometheus_export_flow_through_the_service() {
-        let service = fig1_service(ServiceConfig::with_workers(1));
-        service.configure_timeseries(TimeSeriesConfig {
-            resolution_us: 0,
-            window_ticks: 16,
-        });
-        service.add_slo(SloSpec::new("latency-p99", 0.99, 10_000_000));
-
-        assert!(!service.tick_metrics(), "first sample only seeds");
-        let request = crate::PreviewRequest::new("fig1", PreviewSpace::concise(2, 6).unwrap());
-        service.submit_wait(request).unwrap();
-        assert!(service.tick_metrics(), "second sample closes a tick");
-
-        let snapshot = service.snapshot();
-        let window = snapshot.window.as_ref().expect("window present");
-        assert_eq!(window.requests, 1);
-        assert_eq!(snapshot.slos.len(), 1);
-        let slo = &snapshot.slos[0];
-        assert_eq!(slo.name, "latency-p99");
-        assert!(slo.met, "a 10s threshold cannot be missed here");
-        assert!(!slo.breached);
-        assert_eq!(snapshot.routes.len(), 1);
-        assert_eq!(snapshot.routes[0].graph, "fig1");
-        assert_eq!(snapshot.routes[0].requests, 1);
-
-        // The Prometheus rendering re-parses numerically equal.
-        let failures = preview_obs::roundtrip_failures(&snapshot);
-        assert!(failures.is_empty(), "round-trip failures: {failures:?}");
-        let text = service.prometheus_text();
-        assert!(text.contains("# TYPE preview_request_latency_us histogram"));
-        assert!(text.contains("preview_requests_total{graph=\"fig1\",algorithm="));
-        assert!(text.contains("preview_slo_burn_rate{slo=\"latency-p99\",window=\"fast\"}"));
-    }
-
-    #[test]
     fn injected_delay_marks_the_request_slow_and_retains_its_tree() {
         let registry = Arc::new(GraphRegistry::new());
         registry.register("fig1", fixtures::figure1_graph());
@@ -1237,9 +1137,9 @@ mod tests {
         assert_eq!(trees.len(), 1);
         assert_eq!(trees[0].reasons, vec![preview_obs::RetainReason::Slow]);
         assert_eq!(Some(trees[0].trace), response.trace);
-        // The same id is the exemplar of the service-latency bucket the
+        // The same id is the exemplar of the request-stage bucket the
         // request landed in.
-        let latency = service.snapshot().service_latency.unwrap();
+        let latency = recorder.stage_histogram(Stage::Request).snapshot();
         assert!(latency
             .bucket_exemplars()
             .iter()
@@ -1341,7 +1241,7 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_carries_service_latency_and_publish_counters() {
+    fn snapshot_carries_completed_requests_and_publish_counters() {
         let registry = Arc::new(GraphRegistry::new());
         registry.register_sharded(
             "fig1",
@@ -1358,12 +1258,8 @@ mod tests {
         assert!(report.spliced);
         assert!(report.touched_shards >= 1);
 
+        assert_eq!(service.stats().completed, 1);
         let snapshot = service.snapshot();
-        let latency = snapshot
-            .service_latency
-            .as_ref()
-            .expect("latency histogram");
-        assert_eq!(latency.count(), 1);
         let counters: std::collections::HashMap<_, _> = snapshot.counters.iter().copied().collect();
         assert_eq!(counters[&Counter::Publishes], 1);
         assert_eq!(counters[&Counter::PublishSplices], 1);

@@ -22,9 +22,10 @@
 //!   provably unaffected cache entries survive the version bump, and
 //!   superseded versions are pruned to a retention window,
 //! * [`PreviewService::snapshot`] — a unified observability export built on
-//!   `preview-obs`: per-stage span histograms, the exact service latency
-//!   histogram, splice-vs-reshard publish counters, per-shard memory, and
-//!   flight-recorder dumps captured on worker panics and slow requests.
+//!   `preview-obs`: per-stage span histograms (the `request` stage is the
+//!   end-to-end latency), splice-vs-reshard publish counters, per-shard
+//!   memory, and flight-recorder dumps captured on worker panics and slow
+//!   requests.
 //!
 //! # Quick start: register a graph, spawn the pool, submit, read stats
 //!
@@ -82,11 +83,9 @@ pub use stats::ServiceStats;
 pub use entity_graph::{DeltaSummary, GraphDelta};
 
 // Re-exported so callers can configure, enable and snapshot the service's
-// observability recorder — and its trace-tree, windowed-metrics and SLO
-// layers — without importing `preview-obs` directly.
-pub use preview_obs::{
-    ObsConfig, ObsSnapshot, Recorder, SloSpec, SloStatus, TimeSeriesConfig, TraceId, TraceTree,
-};
+// observability recorder and its trace trees without importing
+// `preview-obs` directly.
+pub use preview_obs::{ObsConfig, ObsSnapshot, Recorder, TraceId, TraceTree};
 
 /// Compile-time guarantees that everything shared across worker threads is
 /// `Send + Sync` (and cheaply shareable where `Clone` is claimed). A failure
