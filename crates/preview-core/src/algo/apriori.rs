@@ -9,6 +9,7 @@
 //! Theorem 3 without building its preview, and only the best one is
 //! assembled.
 
+use crate::algo::bound::set_members;
 use crate::algo::common::{eligible_views, preview_at, space_is_empty, walk_subset};
 use crate::algo::PreviewDiscovery;
 use crate::constraint::{DistanceConstraint, PreviewSpace};
@@ -74,24 +75,17 @@ impl PreviewDiscovery for AprioriDiscovery {
 /// Every level is flat the same way, in lexicographic order with the level's
 /// subset size as its stride.
 fn candidate_subsets(scored: &ScoredSchema, constraint: DistanceConstraint, k: usize) -> Vec<u32> {
-    let eligible = scored.eligible_types();
-    let distances = scored.distances();
-    let pair_ok = |a: u32, b: u32| -> bool {
-        constraint.pair_ok(distances.distance(eligible[a as usize], eligible[b as usize]))
-    };
-    let count = eligible.len() as u32;
-
+    let count = scored.eligible_types().len() as u32;
     if k == 1 {
         return (0..count).collect();
     }
+    let rows = scored.pair_rows(Some(constraint));
 
     // L2: all ordered pairs (i < j) satisfying the constraint.
     let mut level: Vec<u32> = Vec::new();
     for i in 0..count {
-        for j in (i + 1)..count {
-            if pair_ok(i, j) {
-                level.extend([i, j]);
-            }
+        for j in set_members(rows.row(i)) {
+            level.extend([i, j]);
         }
     }
 
@@ -106,7 +100,7 @@ fn candidate_subsets(scored: &ScoredSchema, constraint: DistanceConstraint, k: u
             for (a, first) in group.iter().enumerate() {
                 for second in &group[a + 1..] {
                     let last = second[size - 1];
-                    if pair_ok(first[size - 1], last) {
+                    if rows.pair_ok(first[size - 1], last) {
                         joined.extend_from_slice(first);
                         joined.push(last);
                     }

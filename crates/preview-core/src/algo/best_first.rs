@@ -10,6 +10,10 @@
 //! would enumerate (`anytime-bench` enforces a ≤ 25% ceiling on its
 //! benchmark space).
 //!
+//! Nodes carry their feasible extension set as a bitset, so a child's set is
+//! its parent's ANDed with one pair row, and the frontier keeps every node
+//! in flat arrays: expanding a node allocates nothing.
+//!
 //! The same machinery powers an **anytime** mode:
 //! [`discover_anytime`](BestFirstDiscovery::discover_anytime) accepts an
 //! [`AnytimeBudget`] and, when the budget expires before the proof closes,
@@ -19,12 +23,11 @@
 //! what a longer search could still gain.
 
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 use std::time::Instant;
 
 use preview_obs::{Counter, Stage};
 
-use super::bound::BoundContext;
+use super::bound::{set_members, BoundContext};
 use super::common::{preview_at, replaces_incumbent, space_is_empty, walk_subset};
 use super::PreviewDiscovery;
 use crate::constraint::PreviewSpace;
@@ -187,38 +190,125 @@ impl AnytimeOutcome {
     }
 }
 
-/// A frontier node: a feasible prefix of eligible-type indices plus its
-/// admissible bound and feasible extension set.
-#[derive(Debug)]
-struct Node {
-    bound: f64,
-    prefix: Vec<u32>,
-    feasible: Vec<u32>,
+/// The search frontier. A node is a feasible prefix of eligible-type
+/// indices, its admissible bound and its feasible extension set as a bitset
+/// (see [`super::bound`]). Every queued node lives in flat arrays indexed by
+/// its slot, so queueing a node allocates nothing once the arrays have grown,
+/// and an expanded node's slot is reused. `heap` is a binary max-heap of
+/// slots under [`before`](Self::before).
+struct Frontier {
+    /// Prefix capacity per slot: `k`.
+    depth: usize,
+    /// `u64` words per feasible set.
+    words: usize,
+    bounds: Vec<f64>,
+    lens: Vec<usize>,
+    prefixes: Vec<u32>,
+    sets: Vec<u64>,
+    free: Vec<usize>,
+    heap: Vec<usize>,
 }
 
-impl PartialEq for Node {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
+impl Frontier {
+    fn new(depth: usize, words: usize) -> Self {
+        Self {
+            depth,
+            words,
+            bounds: Vec::new(),
+            lens: Vec::new(),
+            prefixes: Vec::new(),
+            sets: Vec::new(),
+            free: Vec::new(),
+            heap: Vec::new(),
+        }
     }
-}
 
-impl Eq for Node {}
-
-impl PartialOrd for Node {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
+    fn len(&self) -> usize {
+        self.heap.len()
     }
-}
 
-impl Ord for Node {
+    fn bound(&self, node: usize) -> f64 {
+        self.bounds[node]
+    }
+
+    fn prefix(&self, node: usize) -> &[u32] {
+        let at = node * self.depth;
+        &self.prefixes[at..at + self.lens[node]]
+    }
+
+    fn set(&self, node: usize) -> &[u64] {
+        let at = node * self.words;
+        &self.sets[at..at + self.words]
+    }
+
     /// Max-heap priority: larger bound first; at equal bounds the
     /// lexicographically smaller prefix first, so the eventual winner (the
-    /// lex-first max scorer) is established as early as possible.
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.bound
-            .partial_cmp(&other.bound)
+    /// lex-first max scorer) is established as early as possible. Queued
+    /// prefixes are distinct, so this is a strict total order and the pop
+    /// sequence does not depend on the heap's layout.
+    fn before(&self, a: usize, b: usize) -> bool {
+        match self.bounds[a]
+            .partial_cmp(&self.bounds[b])
             .expect("bounds must not be NaN")
-            .then_with(|| other.prefix.cmp(&self.prefix))
+        {
+            Ordering::Equal => self.prefix(a) < self.prefix(b),
+            order => order == Ordering::Greater,
+        }
+    }
+
+    /// Queues a node, copying its prefix and set into a free slot.
+    fn push(&mut self, bound: f64, prefix: &[u32], set: &[u64]) {
+        let node = self.free.pop().unwrap_or_else(|| {
+            self.bounds.push(0.0);
+            self.lens.push(0);
+            self.prefixes.resize(self.prefixes.len() + self.depth, 0);
+            self.sets.resize(self.sets.len() + self.words, 0);
+            self.bounds.len() - 1
+        });
+        self.bounds[node] = bound;
+        self.lens[node] = prefix.len();
+        let at = node * self.depth;
+        self.prefixes[at..at + prefix.len()].copy_from_slice(prefix);
+        let at = node * self.words;
+        self.sets[at..at + self.words].copy_from_slice(set);
+        let mut pos = self.heap.len();
+        self.heap.push(node);
+        while pos > 0 {
+            let parent = (pos - 1) / 2;
+            if !self.before(self.heap[pos], self.heap[parent]) {
+                break;
+            }
+            self.heap.swap(pos, parent);
+            pos = parent;
+        }
+    }
+
+    /// Removes the first node in heap order. Its slot stays readable until
+    /// [`release`](Self::release).
+    fn pop(&mut self) -> Option<usize> {
+        let last = self.heap.len().checked_sub(1)?;
+        self.heap.swap(0, last);
+        let top = self.heap.pop();
+        let mut pos = 0;
+        loop {
+            let mut first = pos;
+            for child in [2 * pos + 1, 2 * pos + 2] {
+                if child < self.heap.len() && self.before(self.heap[child], self.heap[first]) {
+                    first = child;
+                }
+            }
+            if first == pos {
+                break;
+            }
+            self.heap.swap(pos, first);
+            pos = first;
+        }
+        top
+    }
+
+    /// Frees a popped node's slot for reuse.
+    fn release(&mut self, node: usize) {
+        self.free.push(node);
     }
 }
 
@@ -274,116 +364,108 @@ fn search(scored: &ScoredSchema, space: &PreviewSpace, budget: AnytimeBudget) ->
     let k = size.tables;
     let extras = size.non_keys - k;
     let mut scratch: Vec<f64> = Vec::new();
-    let mut heap: BinaryHeap<Node> = BinaryHeap::new();
-    let all: Vec<u32> = (0..views.len() as u32).collect();
-    if let Some(root_bound) = ctx.upper_bound_with(&[], &all, &mut scratch) {
-        heap.push(Node {
-            bound: root_bound,
-            prefix: Vec::new(),
-            feasible: all,
-        });
+    // The expanded node's prefix and set, and the child set being bounded.
+    let mut prefix: Vec<u32> = Vec::with_capacity(k);
+    let mut set = ctx.root_set();
+    let mut child = set.clone();
+    let mut frontier = Frontier::new(k, set.len());
+    if let Some(root_bound) = ctx.bound(&prefix, &set, &mut scratch) {
+        frontier.push(root_bound, &prefix, &set);
     }
 
     let mut incumbent: Option<Incumbent> = None;
-    let mut leaf: Vec<u32> = Vec::with_capacity(k);
     let mut taken = Vec::with_capacity(k);
-    let mut truncated = false;
-    while let Some(node) = heap.pop() {
+    // The bound of the node the budget stopped at, the largest left.
+    let mut truncated: Option<f64> = None;
+    while let Some(node) = frontier.pop() {
+        let bound = frontier.bound(node);
         if let Some(inc) = &incumbent {
-            if node.bound < inc.score {
+            if bound < inc.score {
                 // The heap is bound-ordered: nothing left can beat the
                 // incumbent, so the whole frontier is pruned and the
                 // incumbent is optimal.
-                stats.bound_cutoffs += 1 + heap.len() as u64;
-                stats.nodes_pruned += 1 + heap.len() as u64;
-                heap.clear();
+                stats.bound_cutoffs += 1 + frontier.len() as u64;
+                stats.nodes_pruned += 1 + frontier.len() as u64;
                 break;
             }
-            if node.bound == inc.score && !may_contain_lex_smaller(&node.prefix, &inc.subset) {
+            if bound == inc.score && !may_contain_lex_smaller(frontier.prefix(node), &inc.subset) {
                 // An exactly-tying subtree can only displace the incumbent
                 // with a lexicographically smaller subset; this one cannot
                 // contain any.
                 stats.bound_cutoffs += 1;
                 stats.nodes_pruned += 1;
+                frontier.release(node);
                 continue;
             }
         }
         if budget.exhausted(stats.nodes_expanded, start) {
-            // Re-file the popped node so the frontier retains the tightest
-            // remaining bound for the optimality-gap report.
-            heap.push(node);
-            truncated = true;
+            // The popped node holds the tightest remaining bound, for the
+            // optimality-gap report.
+            truncated = Some(bound);
             break;
         }
         stats.nodes_expanded += 1;
-        if node.prefix.len() + 1 == k {
+        prefix.clear();
+        prefix.extend_from_slice(frontier.prefix(node));
+        set.copy_from_slice(frontier.set(node));
+        frontier.release(node);
+        if prefix.len() + 1 == k {
             // Children are complete subsets: score them now instead of
             // re-queueing (their bound equals their score up to rounding).
-            for &j in &node.feasible {
-                leaf.clear();
-                leaf.extend_from_slice(&node.prefix);
-                leaf.push(j);
+            for j in set_members(&set) {
+                prefix.push(j);
                 stats.subsets_evaluated += 1;
-                let table = |pos: usize| views[leaf[pos] as usize];
-                let Some(score) = walk_subset(k, table, extras, &mut taken) else {
-                    continue;
-                };
-                let replaces = incumbent
-                    .as_ref()
-                    .is_none_or(|inc| replaces_incumbent(score, &leaf, inc.score, &inc.subset));
-                if replaces {
-                    incumbent = Some(Incumbent {
-                        score,
-                        subset: leaf.clone(),
-                    });
+                let table = |pos: usize| views[prefix[pos] as usize];
+                if let Some(score) = walk_subset(k, table, extras, &mut taken) {
+                    match &mut incumbent {
+                        None => {
+                            incumbent = Some(Incumbent {
+                                score,
+                                subset: prefix.clone(),
+                            })
+                        }
+                        Some(inc) if replaces_incumbent(score, &prefix, inc.score, &inc.subset) => {
+                            inc.score = score;
+                            inc.subset.clone_from(&prefix);
+                        }
+                        Some(_) => {}
+                    }
                 }
+                prefix.pop();
             }
         } else {
-            for (pos, &j) in node.feasible.iter().enumerate() {
-                let mut child_prefix = Vec::with_capacity(node.prefix.len() + 1);
-                child_prefix.extend_from_slice(&node.prefix);
-                child_prefix.push(j);
-                let child_feasible: Vec<u32> = node.feasible[pos + 1..]
-                    .iter()
-                    .copied()
-                    .filter(|&r| ctx.pair_ok(j, r))
-                    .collect();
-                match ctx.upper_bound_with(&child_prefix, &child_feasible, &mut scratch) {
+            for j in set_members(&set) {
+                ctx.child_set(&set, j, &mut child);
+                prefix.push(j);
+                match ctx.bound(&prefix, &child, &mut scratch) {
                     None => stats.nodes_pruned += 1,
                     Some(bound) => {
                         let cut = incumbent.as_ref().is_some_and(|inc| {
                             bound < inc.score
                                 || (bound == inc.score
-                                    && !may_contain_lex_smaller(&child_prefix, &inc.subset))
+                                    && !may_contain_lex_smaller(&prefix, &inc.subset))
                         });
                         if cut {
                             stats.bound_cutoffs += 1;
                             stats.nodes_pruned += 1;
                         } else {
-                            heap.push(Node {
-                                bound,
-                                prefix: child_prefix,
-                                feasible: child_feasible,
-                            });
+                            frontier.push(bound, &prefix, &child);
                         }
                     }
                 }
+                prefix.pop();
             }
         }
     }
 
     let score = incumbent.as_ref().map_or(0.0, |inc| inc.score);
-    let upper_bound = if truncated {
-        heap.peek().map_or(score, |node| node.bound.max(score))
-    } else {
-        score
-    };
+    let upper_bound = truncated.map_or(score, |bound| bound.max(score));
     AnytimeOutcome {
         preview: incumbent
             .and_then(|inc| preview_at(scored, inc.subset.iter().map(|&i| i as usize), size)),
         score,
         upper_bound,
-        exact: !truncated,
+        exact: truncated.is_none(),
         stats,
     }
 }

@@ -39,9 +39,7 @@ impl PreviewDiscovery for BruteForceDiscovery {
         if space_is_empty(scored, size) {
             return Ok(None);
         }
-        let distance_constraint = space.distance();
-        let distances = scored.distances();
-        let eligible = scored.eligible_types();
+        let rows = space.distance().map(|c| scored.pair_rows(Some(c)));
         let views = eligible_views(scored);
         let k = size.tables;
         let extras = size.non_keys - k;
@@ -50,11 +48,11 @@ impl PreviewDiscovery for BruteForceDiscovery {
         let mut best_subset = subset.clone();
         let mut taken = Vec::with_capacity(k);
         loop {
-            let feasible = distance_constraint.is_none_or(|constraint| {
+            let feasible = rows.is_none_or(|rows| {
                 subset.iter().enumerate().all(|(i, &a)| {
                     subset[i + 1..]
                         .iter()
-                        .all(|&b| constraint.pair_ok(distances.distance(eligible[a], eligible[b])))
+                        .all(|&b| rows.pair_ok(a as u32, b as u32))
                 })
             });
             if feasible {
@@ -67,7 +65,7 @@ impl PreviewDiscovery for BruteForceDiscovery {
                     }
                 }
             }
-            if !next_combination(&mut subset, eligible.len()) {
+            if !next_combination(&mut subset, views.len()) {
                 break;
             }
         }

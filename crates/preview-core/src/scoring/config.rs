@@ -1,13 +1,16 @@
 //! Scoring configuration and the pre-computed [`ScoredSchema`].
 
 use std::collections::HashMap;
+use std::sync::OnceLock;
 
 use entity_graph::{
     DeltaSummary, Direction, DistanceMatrix, EntityGraph, RelTypeId, SchemaGraph, TypeId,
 };
 use serde::{Deserialize, Serialize};
 
+use crate::algo::bound::{BoundIndex, PairRows};
 use crate::candidates::{self, Candidate};
+use crate::constraint::DistanceConstraint;
 use crate::error::Result;
 use crate::preview::{Preview, PreviewTable};
 use crate::scoring::key::{self, RandomWalkConfig};
@@ -126,20 +129,9 @@ pub struct ScoredSchema {
     candidates: Vec<Vec<Candidate>>,
     prefix_sums: Vec<Vec<f64>>,
     eligible: Vec<TypeId>,
-    weighted_top: Vec<f64>,
-}
-
-/// Per-type weighted score maxima `S(τ) × Sτ(γ₁)` — the largest score a
-/// single preview table keyed on each type can contribute per non-key slot
-/// (Eq. 2 with the best candidate). `0.0` for types without candidates.
-/// Precomputed once per build; the best-first bound
-/// ([`crate::algo::bound`]) reads it on every search node.
-fn weighted_top_scores(key_scores: &[f64], candidates: &[Vec<Candidate>]) -> Vec<f64> {
-    key_scores
-        .iter()
-        .zip(candidates)
-        .map(|(&key, cands)| cands.first().map_or(0.0, |c| key * c.score))
-        .collect()
+    /// Best-first's bound index and every engine's pair rows, built by the
+    /// first discovery call that needs them rather than on the publish path.
+    bound_index: OnceLock<BoundIndex>,
 }
 
 impl ScoredSchema {
@@ -191,7 +183,6 @@ impl ScoredSchema {
         let prefix_sums = candidates::prefix_sums(&candidates);
         let eligible = candidates::eligible_types(&candidates);
         let distances = schema.distance_matrix();
-        let weighted_top = weighted_top_scores(&key_scores, &candidates);
         Ok(Self {
             schema,
             distances,
@@ -202,7 +193,7 @@ impl ScoredSchema {
             candidates,
             prefix_sums,
             eligible,
-            weighted_top,
+            bound_index: OnceLock::new(),
         })
     }
 
@@ -237,7 +228,6 @@ impl ScoredSchema {
         let prefix_sums = candidates::prefix_sums(&candidates);
         let eligible = candidates::eligible_types(&candidates);
         let distances = schema.distance_matrix();
-        let weighted_top = weighted_top_scores(&key_scores, &candidates);
         Ok(Self {
             schema,
             distances,
@@ -248,7 +238,7 @@ impl ScoredSchema {
             candidates,
             prefix_sums,
             eligible,
-            weighted_top,
+            bound_index: OnceLock::new(),
         })
     }
 
@@ -278,7 +268,8 @@ impl ScoredSchema {
     ///   (still schema-sized, not entity-sized);
     /// * candidate lists, prefix sums, eligibility and the distance matrix
     ///   are schema-sized derivations and are rebuilt from the (possibly
-    ///   reused) scores.
+    ///   reused) scores; the bound index starts empty, and the first
+    ///   discovery call on the new version builds it.
     ///
     /// # Errors
     ///
@@ -335,7 +326,6 @@ impl ScoredSchema {
         let prefix_sums = candidates::prefix_sums(&candidates);
         let eligible = candidates::eligible_types(&candidates);
         let distances = schema.distance_matrix();
-        let weighted_top = weighted_top_scores(&key_scores, &candidates);
         Ok(Self {
             schema,
             distances,
@@ -346,7 +336,7 @@ impl ScoredSchema {
             candidates,
             prefix_sums,
             eligible,
-            weighted_top,
+            bound_index: OnceLock::new(),
         })
     }
 
@@ -356,8 +346,9 @@ impl ScoredSchema {
     /// True iff the schema shape (type count and the relationship-type
     /// sequence of the edge list — type and rel ids are stable across
     /// deltas) and all score vectors match bitwise. Discovery reads nothing
-    /// else: candidate lists, prefix sums, eligibility and distances are
-    /// pure functions of shape + scores. The serving layer uses this to
+    /// else: candidate lists, prefix sums, eligibility, distances and the
+    /// bound index with its pair rows are pure functions of shape + scores,
+    /// so the comparison skips the index. The serving layer uses this to
     /// prove cached previews unaffected by a published delta and carry them
     /// forward across the version bump.
     pub fn scores_identical(&self, other: &Self) -> bool {
@@ -445,11 +436,25 @@ impl ScoredSchema {
 
     /// The largest single-slot contribution of a table keyed on `ty`:
     /// `S(τ) × Sτ(γ₁)` for its best candidate, or `0.0` when `ty` has no
-    /// candidates. Precomputed at build time; the admissible bound of
-    /// [`BestFirstDiscovery`](crate::algo::BestFirstDiscovery) reads it per
-    /// search node.
+    /// candidates. The bound index of
+    /// [`BestFirstDiscovery`](crate::algo::BestFirstDiscovery) keeps it per
+    /// eligible type.
     pub fn weighted_top_score(&self, ty: TypeId) -> f64 {
-        self.weighted_top[ty.index()]
+        self.candidates(ty)
+            .first()
+            .map_or(0.0, |c| self.key_score(ty) * c.score)
+    }
+
+    /// The bound index of best-first search ([`crate::algo::bound`]),
+    /// built on first use.
+    pub(crate) fn bound_index(&self) -> &BoundIndex {
+        self.bound_index.get_or_init(|| BoundIndex::build(self))
+    }
+
+    /// Which pairs of eligible types may share a preview under
+    /// `constraint` (every pair for `None`), built on first use.
+    pub(crate) fn pair_rows(&self, constraint: Option<DistanceConstraint>) -> &PairRows {
+        self.bound_index().pair_rows(self, constraint)
     }
 
     /// The score of a preview table (Eq. 2): `S(τ) × Σ_{γ} Sτ(γ)`.

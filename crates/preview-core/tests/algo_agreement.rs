@@ -520,3 +520,90 @@ fn score_first_engines_match_the_pool_sort_reference_bitwise() {
         "no type had fewer candidates than extra slots"
     );
 }
+
+/// Schemas with more than 64 and more than 128 eligible types spread the
+/// pair rows and best-first's feasible sets over two and three `u64` words.
+/// Brute force, Apriori and best-first must still return the reference's
+/// preview with its score bits, at `d = 0` (no pair passes tight, every
+/// pair passes diverse), at a middle `d`, and just above the schema
+/// diameter, where only unreachable pairs pass diverse and they fail tight.
+#[test]
+fn engines_match_the_reference_on_multi_word_schemas() {
+    let mut widest = 0;
+    let mut unreachable_optima = 0;
+    let configs = [
+        ScoringConfig::coverage(),
+        ScoringConfig::new(KeyScoring::Coverage, NonKeyScoring::Entropy),
+    ];
+    for (seed, types, rel_types) in [(0u64, 80, 70), (0, 150, 140)] {
+        let graph = random_graph(seed, types, rel_types, 4 * rel_types);
+        for config in &configs {
+            let scored = ScoredSchema::build(&graph, config).unwrap();
+            let eligible = scored.eligible_types();
+            assert!(
+                (65..=130).contains(&eligible.len()),
+                "seed={seed}: {} eligible types",
+                eligible.len()
+            );
+            widest = widest.max(eligible.len());
+            let distances = scored.distances();
+            let beyond = distances.diameter().unwrap() + 1;
+            for k in 1..=3usize {
+                let n = k + 1;
+                let mut spaces = vec![PreviewSpace::concise(k, n).unwrap()];
+                for d in [0, 2, beyond] {
+                    spaces.push(PreviewSpace::tight(k, n, d).unwrap());
+                    spaces.push(PreviewSpace::diverse(k, n, d).unwrap());
+                }
+                for space in spaces {
+                    let context = format!("seed={seed} {space:?}");
+                    let (expected, _) = reference_optimum(&scored, &space);
+                    if let (PreviewSpace::Diverse(_, d), Some((preview, _))) = (space, &expected) {
+                        if k >= 2 && d == beyond {
+                            let keys: Vec<TypeId> =
+                                preview.tables().iter().map(|t| t.key()).collect();
+                            assert!(!distances.connected(keys[0], keys[1]), "{context}");
+                            unreachable_optima += 1;
+                        }
+                    }
+                    let mut engines: Vec<Box<dyn PreviewDiscovery>> = vec![
+                        Box::new(BruteForceDiscovery::new()),
+                        Box::new(BestFirstDiscovery::new()),
+                    ];
+                    if space.distance().is_some() {
+                        engines.push(Box::new(AprioriDiscovery::new()));
+                    }
+                    for engine in &engines {
+                        let found = engine.discover(&scored, &space).unwrap();
+                        let context = format!("{context} {}", engine.name());
+                        match (&expected, found) {
+                            (None, None) => {}
+                            (Some((preview, score)), Some(found)) => {
+                                assert_eq!(&found, preview, "{context}: preview diverged");
+                                let keys: Vec<TypeId> =
+                                    found.tables().iter().map(|t| t.key()).collect();
+                                let (_, found_score) =
+                                    best_preview_for_subset(&scored, &keys, &space).unwrap();
+                                assert_eq!(
+                                    found_score.to_bits(),
+                                    score.to_bits(),
+                                    "{context}: score bits diverged"
+                                );
+                            }
+                            (expected, found) => panic!(
+                                "{context}: feasibility diverged (reference={}, engine={})",
+                                expected.is_some(),
+                                found.is_some()
+                            ),
+                        }
+                    }
+                }
+            }
+        }
+    }
+    assert!(widest > 128, "no schema crossed the second word boundary");
+    assert!(
+        unreachable_optima > 0,
+        "no diverse optimum joined unreachable types"
+    );
+}

@@ -13,12 +13,13 @@ use preview_core::{
 
 /// Subset-count estimate above which [`Algorithm::Auto`] prefers the
 /// best-first branch-and-bound over the Apriori join on distance-constrained
-/// spaces. Below this, level-wise candidate growth over a small lattice is
-/// cheap and cache-friendly; above it, enumeration-style growth dominates the
-/// latency budget while best-first typically expands a small fraction of the
-/// lattice before its optimality proof closes (`anytime-bench` enforces the
-/// ratio).
-pub const BEST_FIRST_AUTO_THRESHOLD: u128 = 20_000;
+/// spaces. Below it, Apriori's level-wise growth over a lattice of a few
+/// hundred subsets is cheaper than setting up a search. Above it, best-first
+/// bounds its children on bitset rows and typically proves the optimum after
+/// expanding `k` nodes, while Apriori still joins every feasible pair. On the
+/// 63-type film schema this sends `k = 2` (C(63, 2) = 1953 subsets) to
+/// best-first and keeps `k = 1` (63 subsets) on Apriori.
+pub const BEST_FIRST_AUTO_THRESHOLD: u128 = 1_000;
 
 /// Which discovery algorithm a request asks for.
 ///
@@ -408,6 +409,18 @@ mod tests {
         assert_eq!(
             Algorithm::Auto.resolve_for(&diverse, 63),
             ResolvedAlgorithm::BestFirst
+        );
+        // C(63, 2) = 1953 > threshold: so does k = 2 on the film schema...
+        let tight_pair = PreviewSpace::tight(2, 4, 2).unwrap();
+        assert_eq!(
+            Algorithm::Auto.resolve_for(&tight_pair, 63),
+            ResolvedAlgorithm::BestFirst
+        );
+        // ...while C(63, 1) = 63 ≤ threshold keeps k = 1 on Apriori.
+        let tight_single = PreviewSpace::tight(1, 3, 2).unwrap();
+        assert_eq!(
+            Algorithm::Auto.resolve_for(&tight_single, 63),
+            ResolvedAlgorithm::Apriori
         );
         // Concise spaces keep dynamic programming regardless of size.
         assert_eq!(
