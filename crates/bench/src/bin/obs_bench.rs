@@ -3,19 +3,20 @@
 //! Replays the same Zipf-skewed service workload three times per round —
 //! two passes with the recorder *disabled* (the production default, where
 //! every `span!` is a single relaxed atomic load) and one with it *enabled*
-//! (full span recording into histograms and the flight ring) — interleaved
-//! so load drift hits all series alike. Overhead is judged on paired
-//! per-round ratios (best round wins), and `--check` enforces the floors
-//! the `preview-obs` crate promises:
+//! (full span recording into histograms and the flight ring). A pass serves
+//! the workload against fresh services as many times as it takes to last
+//! about [`PASS_TARGET_S`], so timer resolution and scheduling jitter are
+//! small next to it. Each round rotates the order of its three passes, so
+//! no series always runs first or last. Overhead is judged on the median of
+//! the paired per-round ratios, printed with their spread, and `--check`
+//! enforces the floors the `preview-obs` crate promises:
 //!
 //! * **disabled**: the second disabled pass within 1% of the first (the
 //!   two run identical code, so this gates that the disabled path has no
 //!   measurable cost beyond run-to-run noise),
 //! * **enabled**: within 5% of the faster disabled pass of its round.
 //!
-//! A floor miss re-measures the whole sweep a couple of times (keeping the
-//! per-series minima) before failing, so a CI load spike cannot flake the
-//! gate. The enabled passes run with head sampling on, so the gated path
+//! The enabled passes run with head sampling on, so the gated path
 //! includes the full trace-tree pipeline (span parenting, retention
 //! decisions), not just histogram recording.
 //!
@@ -54,8 +55,8 @@ use preview_service::{GraphRegistry, PreviewService, ServiceConfig};
 /// Overhead floors enforced by `--check`.
 const DISABLED_OVERHEAD_FLOOR: f64 = 0.01;
 const ENABLED_OVERHEAD_FLOOR: f64 = 0.05;
-/// Extra full sweeps after a floor miss before failing.
-const CHECK_RETRIES: usize = 2;
+/// The length one timed pass aims for, in seconds.
+const PASS_TARGET_S: f64 = 0.3;
 
 struct Options {
     spec: WorkloadSpec,
@@ -74,7 +75,7 @@ impl Default for Options {
                 ..WorkloadSpec::default()
             },
             workers: 2,
-            rounds: 3,
+            rounds: 11,
             out: None,
             check: false,
         }
@@ -114,18 +115,15 @@ fn parse_args() -> Result<Options, String> {
     Ok(options)
 }
 
-/// One pass over the whole workload against a fresh service; returns the
-/// elapsed seconds (and the service, so the snapshot pass can export it).
-fn run_pass(
-    graph: &EntityGraph,
+/// Serves the whole workload once against a fresh service over
+/// `registry`; returns the elapsed seconds (and the service, so the
+/// snapshot pass can export it).
+fn serve_once(
+    registry: &Arc<GraphRegistry>,
     workload: &ServiceWorkload,
     options: &Options,
     recorder: Arc<Recorder>,
 ) -> (f64, PreviewService) {
-    let registry = Arc::new(GraphRegistry::new());
-    registry
-        .register_precomputed(&workload.graph_name, graph.clone(), &workload.configs)
-        .expect("scoring the workload graph succeeds");
     let service = PreviewService::start_with_recorder(
         ServiceConfig {
             workers: options.workers,
@@ -133,7 +131,7 @@ fn run_pass(
             cache_capacity: 512,
             cache_shards: 8,
         },
-        registry,
+        Arc::clone(registry),
         recorder,
     );
     let start = Instant::now();
@@ -148,70 +146,108 @@ fn run_pass(
     (start.elapsed().as_secs_f64(), service)
 }
 
-/// Per-series minima and best *paired* per-round ratios over one or more
-/// interleaved sweeps.
-///
-/// Overhead is judged per round: all three passes in a round run back to
-/// back under the same machine load, so their ratio cancels the slow drift
-/// (thermal throttling, co-tenants) that makes cross-round minima flaky.
-/// The best ratio across rounds stands for the gate — if any round shows
-/// the enabled pass within the floor of its own baseline, the instrumented
-/// path genuinely costs no more than that.
+/// The three series of a round.
 #[derive(Clone, Copy)]
-struct SeriesMinima {
-    baseline_s: f64,
-    disabled_s: f64,
-    enabled_s: f64,
-    disabled_overhead: f64,
-    enabled_overhead: f64,
+enum Series {
+    Baseline,
+    Disabled,
+    Enabled,
 }
 
-impl SeriesMinima {
-    const EMPTY: SeriesMinima = SeriesMinima {
-        baseline_s: f64::INFINITY,
-        disabled_s: f64::INFINITY,
-        enabled_s: f64::INFINITY,
-        disabled_overhead: f64::INFINITY,
-        enabled_overhead: f64::INFINITY,
-    };
-}
-
-/// Runs `rounds` interleaved baseline/disabled/enabled passes, folding the
-/// observed times and per-round overhead ratios into `minima`.
-fn sweep(
-    graph: &EntityGraph,
+/// One timed pass: the workload served `reps` times, each against a fresh
+/// service so every repetition starts from a cold result cache. Returns the
+/// summed serving time in seconds.
+fn timed_pass(
+    registry: &Arc<GraphRegistry>,
     workload: &ServiceWorkload,
     options: &Options,
-    mut minima: SeriesMinima,
-) -> SeriesMinima {
-    for round in 0..options.rounds {
-        let (baseline_s, _) = run_pass(graph, workload, options, Arc::new(Recorder::default()));
-        let (disabled_s, _) = run_pass(graph, workload, options, Arc::new(Recorder::default()));
+    series: Series,
+    reps: usize,
+) -> f64 {
+    let recorder = match series {
+        Series::Baseline | Series::Disabled => Arc::new(Recorder::default()),
         // Head sampling on: the enabled gate covers the trace-tree pipeline
         // (per-request span parenting and retention), not just histograms.
-        let enabled = Arc::new(Recorder::new(ObsConfig::default().with_sample_every(8)));
-        enabled.enable();
-        let (enabled_s, _) = run_pass(graph, workload, options, Arc::clone(&enabled));
-        enabled.disable();
-        minima.baseline_s = minima.baseline_s.min(baseline_s);
-        minima.disabled_s = minima.disabled_s.min(disabled_s);
-        minima.enabled_s = minima.enabled_s.min(enabled_s);
+        Series::Enabled => {
+            let recorder = Arc::new(Recorder::new(ObsConfig::default().with_sample_every(8)));
+            recorder.enable();
+            recorder
+        }
+    };
+    let serving_s = (0..reps)
+        .map(|_| serve_once(registry, workload, options, Arc::clone(&recorder)).0)
+        .sum();
+    // Lower the global enabled count before the next pass, whatever still
+    // holds the recorder.
+    recorder.disable();
+    serving_s
+}
+
+/// The minimum, quartiles and maximum of `values`, by nearest rank.
+fn quartiles(values: &[f64]) -> [f64; 5] {
+    let mut sorted = values.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    let at = |q: f64| sorted[((sorted.len() - 1) as f64 * q).round() as usize];
+    [at(0.0), at(0.25), at(0.5), at(0.75), at(1.0)]
+}
+
+/// Per-series pass times and paired per-round overhead ratios.
+///
+/// All three passes of a round run back to back under the same machine
+/// load, so their ratio cancels the slow drift (thermal throttling,
+/// co-tenants) between rounds, and the median over rounds discards the
+/// rounds a load spike hit.
+struct Sweep {
+    reps: usize,
+    baseline_s: Vec<f64>,
+    disabled_s: Vec<f64>,
+    enabled_s: Vec<f64>,
+    disabled_overhead: Vec<f64>,
+    enabled_overhead: Vec<f64>,
+}
+
+/// Runs `rounds` rounds of baseline/disabled/enabled passes, rotating their
+/// order from round to round.
+fn sweep(registry: &Arc<GraphRegistry>, workload: &ServiceWorkload, options: &Options) -> Sweep {
+    // Two untimed serves: the first warms the registry and the allocator,
+    // the second sizes the passes.
+    let untimed = || serve_once(registry, workload, options, Arc::new(Recorder::default())).0;
+    untimed();
+    let once_s = untimed();
+    let reps = ((PASS_TARGET_S / once_s).ceil() as usize).max(1);
+    eprintln!("[obs-bench] one serve takes {once_s:.4}s; {reps} per pass");
+    let mut out = Sweep {
+        reps,
+        baseline_s: Vec::new(),
+        disabled_s: Vec::new(),
+        enabled_s: Vec::new(),
+        disabled_overhead: Vec::new(),
+        enabled_overhead: Vec::new(),
+    };
+    let order = [Series::Baseline, Series::Disabled, Series::Enabled];
+    for round in 0..options.rounds {
+        let mut times = [0.0; 3];
+        for at in 0..order.len() {
+            let series = order[(at + round) % order.len()];
+            times[series as usize] = timed_pass(registry, workload, options, series, reps);
+        }
+        let [baseline_s, disabled_s, enabled_s] = times;
+        out.baseline_s.push(baseline_s);
+        out.disabled_s.push(disabled_s);
+        out.enabled_s.push(enabled_s);
+        out.disabled_overhead.push(disabled_s / baseline_s - 1.0);
         // The baseline and disabled passes run identical code, so either is
         // a fair denominator; the faster one is the stricter comparison the
         // round supports.
-        minima.disabled_overhead = minima.disabled_overhead.min(disabled_s / baseline_s - 1.0);
-        minima.enabled_overhead = minima
-            .enabled_overhead
-            .min(enabled_s / baseline_s.min(disabled_s) - 1.0);
+        out.enabled_overhead
+            .push(enabled_s / baseline_s.min(disabled_s) - 1.0);
         eprintln!(
-            "[obs-bench] round {}: baseline {:.4}s, disabled {:.4}s, enabled {:.4}s",
-            round + 1,
-            baseline_s,
-            disabled_s,
-            enabled_s
+            "[obs-bench] round {}: baseline {baseline_s:.4}s, disabled {disabled_s:.4}s, \
+             enabled {enabled_s:.4}s",
+            round + 1
         );
     }
-    minima
+    out
 }
 
 /// Structural requirements on the enabled-pass snapshot JSON. Returns the
@@ -484,23 +520,26 @@ fn main() -> ExitCode {
         options.rounds
     );
 
-    let mut minima = sweep(&graph, &workload, &options, SeriesMinima::EMPTY);
-    if options.check {
-        let mut attempt = 0;
-        while (minima.disabled_overhead > DISABLED_OVERHEAD_FLOOR
-            || minima.enabled_overhead > ENABLED_OVERHEAD_FLOOR)
-            && attempt < CHECK_RETRIES
-        {
-            attempt += 1;
-            eprintln!(
-                "[obs-bench] overhead floors missed (disabled {:+.2}%, enabled {:+.2}%), \
-                 re-measuring (attempt {attempt}) ...",
-                minima.disabled_overhead * 100.0,
-                minima.enabled_overhead * 100.0
-            );
-            minima = sweep(&graph, &workload, &options, minima);
-        }
+    let registry = Arc::new(GraphRegistry::new());
+    registry
+        .register_precomputed(&workload.graph_name, graph.clone(), &workload.configs)
+        .expect("scoring the workload graph succeeds");
+    let sweep = sweep(&registry, &workload, &options);
+    let disabled = quartiles(&sweep.disabled_overhead);
+    let enabled = quartiles(&sweep.enabled_overhead);
+    for (name, [min, q1, median, q3, max]) in [("disabled", disabled), ("enabled", enabled)] {
+        eprintln!(
+            "[obs-bench] {name} overhead over {} rounds: median {:+.2}%, quartiles \
+             {:+.2}%..{:+.2}%, range {:+.2}%..{:+.2}%",
+            options.rounds,
+            median * 100.0,
+            q1 * 100.0,
+            q3 * 100.0,
+            min * 100.0,
+            max * 100.0
+        );
     }
+    let (disabled_overhead, enabled_overhead) = (disabled[2], enabled[2]);
 
     // One unmeasured enabled pass drives the snapshot/schema gate: the
     // recorder is configured with a slow threshold so the slow-dump path is
@@ -510,7 +549,12 @@ fn main() -> ExitCode {
         ..ObsConfig::default()
     }));
     snapshot_recorder.enable();
-    let (_, service) = run_pass(&graph, &workload, &options, Arc::clone(&snapshot_recorder));
+    let (_, service) = serve_once(
+        &registry,
+        &workload,
+        &options,
+        Arc::clone(&snapshot_recorder),
+    );
     snapshot_recorder.capture_dump(DumpReason::OnDemand, "obs-bench snapshot pass");
     let snapshot_json = service.snapshot().to_json();
     snapshot_recorder.disable();
@@ -525,12 +569,18 @@ fn main() -> ExitCode {
         eprintln!("[obs-bench] trace check: {failure}");
     }
 
+    let median = |values: &[f64]| quartiles(values)[2];
+    let spread = |[min, q1, _, q3, max]: [f64; 5]| {
+        format!("{{\"min\":{min:.6},\"q1\":{q1:.6},\"q3\":{q3:.6},\"max\":{max:.6}}}")
+    };
     let json = format!(
         concat!(
             "{{\"workload\":{{\"domain\":\"{}\",\"scale\":{},\"seed\":{},",
-            "\"requests\":{},\"unique_keys\":{},\"workers\":{},\"rounds\":{}}},\n",
+            "\"requests\":{},\"unique_keys\":{},\"workers\":{},\"rounds\":{},",
+            "\"serves_per_pass\":{}}},\n",
             " \"series\":{{\"baseline_s\":{:.6},\"disabled_s\":{:.6},\"enabled_s\":{:.6}}},\n",
             " \"overhead\":{{\"disabled\":{:.6},\"enabled\":{:.6}}},\n",
+            " \"overhead_spread\":{{\"disabled\":{},\"enabled\":{}}},\n",
             " \"check\":{{\"disabled_floor\":{},\"enabled_floor\":{},\"snapshot_sound\":{}}},\n",
             " \"trace_check\":{{\"retained\":{},\"sound\":{}}},\n",
             " \"snapshot\":{}}}"
@@ -542,11 +592,14 @@ fn main() -> ExitCode {
         workload.unique_keys,
         options.workers,
         options.rounds,
-        minima.baseline_s,
-        minima.disabled_s,
-        minima.enabled_s,
-        minima.disabled_overhead,
-        minima.enabled_overhead,
+        sweep.reps,
+        median(&sweep.baseline_s),
+        median(&sweep.disabled_s),
+        median(&sweep.enabled_s),
+        disabled_overhead,
+        enabled_overhead,
+        spread(disabled),
+        spread(enabled),
         DISABLED_OVERHEAD_FLOOR,
         ENABLED_OVERHEAD_FLOOR,
         schema_failures.is_empty(),
@@ -566,17 +619,17 @@ fn main() -> ExitCode {
     if options.check {
         let mut failures = schema_failures;
         failures.extend(trace.failures);
-        if minima.disabled_overhead > DISABLED_OVERHEAD_FLOOR {
+        if disabled_overhead > DISABLED_OVERHEAD_FLOOR {
             failures.push(format!(
                 "disabled overhead {:.2}% above the {:.0}% floor",
-                minima.disabled_overhead * 100.0,
+                disabled_overhead * 100.0,
                 DISABLED_OVERHEAD_FLOOR * 100.0
             ));
         }
-        if minima.enabled_overhead > ENABLED_OVERHEAD_FLOOR {
+        if enabled_overhead > ENABLED_OVERHEAD_FLOOR {
             failures.push(format!(
                 "enabled overhead {:.2}% above the {:.0}% floor",
-                minima.enabled_overhead * 100.0,
+                enabled_overhead * 100.0,
                 ENABLED_OVERHEAD_FLOOR * 100.0
             ));
         }
@@ -589,8 +642,8 @@ fn main() -> ExitCode {
         eprintln!(
             "[obs-bench] checks passed: disabled {:+.2}%, enabled {:+.2}%, snapshot sound, \
              trace retention sound",
-            minima.disabled_overhead * 100.0,
-            minima.enabled_overhead * 100.0
+            disabled_overhead * 100.0,
+            enabled_overhead * 100.0
         );
     }
     ExitCode::SUCCESS

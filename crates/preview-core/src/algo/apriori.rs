@@ -8,11 +8,20 @@
 //! the distance constraint. Every `k`-subset that survives is scored via
 //! Theorem 3 without building its preview, and only the best one is
 //! assembled.
+//!
+//! Levels `2..k−1` are stored, but the last one is scored as the join
+//! produces it: for each group of `(k−1)`-subsets sharing their first `k−2`
+//! elements, the group's last elements form a bitset, and ANDing it with a
+//! member's pair row gives the members it joins with, in order. The
+//! member's elements are a prefix of every subset that join produces, so the
+//! scoring walk ([`PrefixWalk`]) recomputes its depths only from the lowest
+//! position where the member differs from the one before it, and scores each
+//! joined subset in `O(n − k + 1)`. The largest level is never stored.
 
-use crate::algo::bound::set_members;
-use crate::algo::common::{eligible_views, preview_at, space_is_empty, walk_subset};
+use crate::algo::bound::{set_members, set_words, PairRows};
+use crate::algo::common::{eligible_views, space_is_empty, PrefixWalk, Winner};
 use crate::algo::PreviewDiscovery;
-use crate::constraint::{DistanceConstraint, PreviewSpace};
+use crate::constraint::PreviewSpace;
 use crate::error::{Error, Result};
 use crate::preview::Preview;
 use crate::scoring::ScoredSchema;
@@ -49,37 +58,63 @@ impl PreviewDiscovery for AprioriDiscovery {
             return Ok(None);
         }
         let k = size.tables;
-        let extras = size.non_keys - k;
         let views = eligible_views(scored);
-        let subsets = candidate_subsets(scored, constraint, k);
+        let mut walk = PrefixWalk::new(k, size.non_keys - k);
         // Keep the earliest strict maximum in subset order.
-        let mut taken = Vec::with_capacity(k);
-        let mut best: Option<(f64, &[u32])> = None;
-        for subset in subsets.chunks_exact(k) {
-            let table = |pos: usize| views[subset[pos] as usize];
-            if let Some(score) = walk_subset(k, table, extras, &mut taken) {
-                if best.is_none_or(|(top, _)| score > top) {
-                    best = Some((score, subset));
-                }
-            }
+        let mut winner = Winner::new(k);
+        if k == 1 {
+            winner.offer_lasts(&walk, &views, &[], 0..views.len() as u32);
+            return Ok(winner.preview(scored, size));
         }
-        Ok(best
-            .and_then(|(_, subset)| preview_at(scored, subset.iter().map(|&i| i as usize), size)))
+        let rows = scored.pair_rows(Some(constraint));
+        let level = frequent_subsets(rows, views.len(), k - 1);
+        let members: Vec<&[u32]> = level.chunks_exact(k - 1).collect();
+        let words = set_words(views.len());
+        let (mut lasts, mut joined) = (vec![0; words], vec![0; words]);
+        // The member whose elements the walk's depths hold.
+        let mut pushed: &[u32] = &[];
+        for group in members.chunk_by(|a, b| a[..k - 2] == b[..k - 2]) {
+            for member in group {
+                let last = member[k - 2];
+                lasts[last as usize / 64] |= 1 << (last % 64);
+            }
+            for &member in group {
+                // The group's later members whose last element pairs with
+                // this member's: the join partners, in the join's order.
+                rows.intersect(&lasts, member[k - 2], &mut joined);
+                if joined.iter().all(|&word| word == 0) {
+                    continue;
+                }
+                let from = member
+                    .iter()
+                    .zip(pushed)
+                    .take_while(|(a, b)| a == b)
+                    .count();
+                for (pos, &i) in member.iter().enumerate().skip(from) {
+                    // Eligible types have candidates, so the push succeeds.
+                    let ok = walk.push(pos, views[i as usize]);
+                    debug_assert!(ok, "eligible type {i} has no candidate");
+                }
+                pushed = member;
+                winner.offer_lasts(&walk, &views, member, set_members(&joined));
+            }
+            lasts.fill(0);
+        }
+        Ok(winner.preview(scored, size))
     }
 }
 
-/// Level-wise generation of the `k`-subsets of eligible-type *indices* whose
-/// pairwise distances satisfy the constraint (Alg. 3, lines 1–14), as one
-/// flat vector with stride `k`.
+/// Level-wise generation of the `size`-subsets of eligible-type *indices*
+/// whose pairwise distances satisfy the constraint (Alg. 3, lines 1–14), as
+/// one flat vector with stride `size`.
 ///
 /// Every level is flat the same way, in lexicographic order with the level's
 /// subset size as its stride.
-fn candidate_subsets(scored: &ScoredSchema, constraint: DistanceConstraint, k: usize) -> Vec<u32> {
-    let count = scored.eligible_types().len() as u32;
-    if k == 1 {
+fn frequent_subsets(rows: &PairRows, count: usize, size: usize) -> Vec<u32> {
+    let count = count as u32;
+    if size == 1 {
         return (0..count).collect();
     }
-    let rows = scored.pair_rows(Some(constraint));
 
     // L2: all ordered pairs (i < j) satisfying the constraint.
     let mut level: Vec<u32> = Vec::new();
@@ -89,18 +124,18 @@ fn candidate_subsets(scored: &ScoredSchema, constraint: DistanceConstraint, k: u
         }
     }
 
-    let mut size = 2;
-    while size < k && !level.is_empty() {
+    let mut width = 2;
+    while width < size && !level.is_empty() {
         // Join pairs of subsets sharing all but their last element. The level
         // is in lexicographic order, so subsets with a common prefix are
         // adjacent.
-        let subsets: Vec<&[u32]> = level.chunks_exact(size).collect();
+        let subsets: Vec<&[u32]> = level.chunks_exact(width).collect();
         let mut joined = Vec::new();
-        for group in subsets.chunk_by(|a, b| a[..size - 1] == b[..size - 1]) {
+        for group in subsets.chunk_by(|a, b| a[..width - 1] == b[..width - 1]) {
             for (a, first) in group.iter().enumerate() {
                 for second in &group[a + 1..] {
-                    let last = second[size - 1];
-                    if rows.pair_ok(first[size - 1], last) {
+                    let last = second[width - 1];
+                    if rows.pair_ok(first[width - 1], last) {
                         joined.extend_from_slice(first);
                         joined.push(last);
                     }
@@ -108,10 +143,10 @@ fn candidate_subsets(scored: &ScoredSchema, constraint: DistanceConstraint, k: u
             }
         }
         level = joined;
-        size += 1;
+        width += 1;
     }
 
-    if size == k {
+    if width == size {
         level
     } else {
         Vec::new()

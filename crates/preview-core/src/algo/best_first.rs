@@ -28,7 +28,7 @@ use std::time::Instant;
 use preview_obs::{Counter, Stage};
 
 use super::bound::{set_members, BoundContext};
-use super::common::{preview_at, replaces_incumbent, space_is_empty, walk_subset};
+use super::common::{preview_at, replaces_incumbent, space_is_empty, PrefixWalk};
 use super::PreviewDiscovery;
 use crate::constraint::PreviewSpace;
 use crate::error::Result;
@@ -362,7 +362,6 @@ fn search(scored: &ScoredSchema, space: &PreviewSpace, budget: AnytimeBudget) ->
     let ctx = BoundContext::new(scored, space);
     let views = ctx.views();
     let k = size.tables;
-    let extras = size.non_keys - k;
     let mut scratch: Vec<f64> = Vec::new();
     // The expanded node's prefix and set, and the child set being bounded.
     let mut prefix: Vec<u32> = Vec::with_capacity(k);
@@ -374,7 +373,7 @@ fn search(scored: &ScoredSchema, space: &PreviewSpace, budget: AnytimeBudget) ->
     }
 
     let mut incumbent: Option<Incumbent> = None;
-    let mut taken = Vec::with_capacity(k);
+    let mut walk = PrefixWalk::new(k, size.non_keys - k);
     // The bound of the node the budget stopped at, the largest left.
     let mut truncated: Option<f64> = None;
     while let Some(node) = frontier.pop() {
@@ -412,11 +411,16 @@ fn search(scored: &ScoredSchema, space: &PreviewSpace, budget: AnytimeBudget) ->
         if prefix.len() + 1 == k {
             // Children are complete subsets: score them now instead of
             // re-queueing (their bound equals their score up to rounding).
+            // They share the node's prefix, so the walk takes it once.
+            let walked = prefix
+                .iter()
+                .enumerate()
+                .all(|(pos, &i)| walk.push(pos, views[i as usize]));
             for j in set_members(&set) {
                 prefix.push(j);
                 stats.subsets_evaluated += 1;
-                let table = |pos: usize| views[prefix[pos] as usize];
-                if let Some(score) = walk_subset(k, table, extras, &mut taken) {
+                let score = walked.then(|| walk.score_last(k - 1, views[j as usize]));
+                if let Some(score) = score.flatten() {
                     match &mut incumbent {
                         None => {
                             incumbent = Some(Incumbent {

@@ -81,12 +81,12 @@ use crate::scoring::ScoredSchema;
 pub const BOUND_SAFETY: f64 = 1.0 + 1e-9;
 
 /// Number of `u64` words in a bitset over `len` indices.
-fn set_words(len: usize) -> usize {
+pub(crate) fn set_words(len: usize) -> usize {
     len.div_ceil(64)
 }
 
 /// The bitset of every index below `len`.
-fn set_full(len: usize) -> Vec<u64> {
+pub(crate) fn set_full(len: usize) -> Vec<u64> {
     let mut set = vec![u64::MAX; set_words(len)];
     if let Some(last) = set.last_mut() {
         *last >>= (64 - len % 64) % 64;
@@ -96,7 +96,7 @@ fn set_full(len: usize) -> Vec<u64> {
 
 /// Whether bitset `set` holds index `i`.
 #[inline]
-fn set_has(set: &[u64], i: u32) -> bool {
+pub(crate) fn set_has(set: &[u64], i: u32) -> bool {
     set[i as usize / 64] >> (i % 64) & 1 == 1
 }
 
@@ -143,6 +143,15 @@ impl PairRows {
     pub(crate) fn row(&self, i: u32) -> &[u64] {
         let at = i as usize * self.words;
         &self.bits[at..at + self.words]
+    }
+
+    /// Writes to `out` the members of bitset `set` that index `i` may pair
+    /// with: `set` ANDed with `i`'s row, so only members after `i`.
+    #[inline]
+    pub(crate) fn intersect(&self, set: &[u64], i: u32, out: &mut [u64]) {
+        for ((out, &s), &r) in out.iter_mut().zip(set).zip(self.row(i)) {
+            *out = s & r;
+        }
     }
 
     /// Whether the distinct eligible indices `a` and `b`, in either order,
@@ -282,7 +291,7 @@ impl<'a> BoundContext<'a> {
     }
 
     /// The [`KeyView`] of every eligible index, for scoring complete subsets
-    /// with [`walk_subset`](crate::algo::common::walk_subset).
+    /// with a [`PrefixWalk`](crate::algo::common::PrefixWalk).
     pub(crate) fn views(&self) -> &[KeyView<'a>] {
         &self.views
     }
@@ -297,9 +306,7 @@ impl<'a> BoundContext<'a> {
     /// `j` that may pair with it.
     #[inline]
     pub(crate) fn child_set(&self, parent: &[u64], j: u32, child: &mut [u64]) {
-        for ((out, &p), &r) in child.iter_mut().zip(parent).zip(self.rows.row(j)) {
-            *out = p & r;
-        }
+        self.rows.intersect(parent, j, child);
     }
 
     /// Whether the eligible types at indices `a` and `b` may coexist in one

@@ -1,17 +1,24 @@
 //! Brute-force optimal preview discovery (Alg. 1).
 //!
-//! Enumerates every `k`-subset of eligible entity types, scores the best
-//! preview for each subset via Theorem 3 without building it, keeps the
-//! highest-scoring subset, and assembles only the winner's preview.
-//! With a distance constraint, subsets whose key attributes violate the
-//! pairwise bound are discarded before scoring. The worst-case cost is
-//! `O(K·N·logN + C(K,k)·k·n)`, exponential in `k` — the paper uses this
+//! Enumerates every `k`-subset of eligible entity types in lexicographic
+//! order, scores the best preview for each subset via Theorem 3 without
+//! building it, keeps the highest-scoring subset, and assembles only the
+//! winner's preview. With a distance constraint, subsets whose key
+//! attributes violate the pairwise bound are discarded before scoring.
+//!
+//! Subsets next to each other in that order share all but their last few
+//! elements, so the enumeration steps the first `k − 1` elements and runs the
+//! last one as an inner loop. Per prefix depth it keeps the scoring walk's
+//! state ([`PrefixWalk`]) and the AND of the prefix members' pair rows, and
+//! recomputes both only from the lowest position a step changed. A subset's
+//! feasibility is then one bit of the last depth's set, and its score one
+//! `O(n − k + 1)` step of the walk. The worst-case cost is
+//! `O(K·N·logN + C(K,k)·(n − k + 1))`, exponential in `k`: the paper uses this
 //! algorithm as the baseline that the DP and Apriori algorithms beat by orders
 //! of magnitude (Figs. 8–9).
 
-use crate::algo::common::{
-    eligible_views, next_combination, preview_at, space_is_empty, walk_subset,
-};
+use crate::algo::bound::{set_full, set_has, set_members, set_words};
+use crate::algo::common::{eligible_views, space_is_empty, step_subset, PrefixWalk, Winner};
 use crate::algo::PreviewDiscovery;
 use crate::constraint::PreviewSpace;
 use crate::error::Result;
@@ -39,37 +46,49 @@ impl PreviewDiscovery for BruteForceDiscovery {
         if space_is_empty(scored, size) {
             return Ok(None);
         }
-        let rows = space.distance().map(|c| scored.pair_rows(Some(c)));
+        let rows = scored.pair_rows(space.distance());
         let views = eligible_views(scored);
         let k = size.tables;
-        let extras = size.non_keys - k;
-        let mut subset: Vec<usize> = (0..k).collect();
-        let mut best: Option<f64> = None;
-        let mut best_subset = subset.clone();
-        let mut taken = Vec::with_capacity(k);
+        let words = set_words(views.len());
+        let mut walk = PrefixWalk::new(k, size.non_keys - k);
+        // The first `k − 1` elements: a subset of `0..len − 1`, leaving room
+        // for the last one.
+        let mut prefix: Vec<u32> = (0..k as u32 - 1).collect();
+        // Per depth `d`: the indices after `prefix[d − 1]` that pair with all
+        // of `prefix[..d]`, or none if those already hold a bad pair. A
+        // subset's feasibility is then one bit of the last depth's set.
+        let mut sets = set_full(views.len()).repeat(k);
+        // The lowest position the last step changed, and how many prefix
+        // positions the walk's depths hold.
+        let (mut from, mut walked) = (0, 0);
+        let mut winner = Winner::new(k);
         loop {
-            let feasible = rows.is_none_or(|rows| {
-                subset.iter().enumerate().all(|(i, &a)| {
-                    subset[i + 1..]
-                        .iter()
-                        .all(|&b| rows.pair_ok(a as u32, b as u32))
-                })
-            });
-            if feasible {
-                let table = |pos: usize| views[subset[pos]];
-                if let Some(score) = walk_subset(k, table, extras, &mut taken) {
-                    // A later subset must score strictly higher to win.
-                    if best.is_none_or(|top| score > top) {
-                        best = Some(score);
-                        best_subset.copy_from_slice(&subset);
-                    }
+            for (pos, &i) in prefix.iter().enumerate().skip(from) {
+                let (done, rest) = sets.split_at_mut((pos + 1) * words);
+                let (set, next) = (&done[pos * words..], &mut rest[..words]);
+                if set_has(set, i) {
+                    rows.intersect(set, i, next);
+                } else {
+                    next.fill(0);
                 }
             }
-            if !next_combination(&mut subset, views.len()) {
-                break;
+            let lasts = &sets[(k - 1) * words..];
+            // Walk the prefix only when it has a feasible subset. Eligible
+            // types have candidates, so every push succeeds.
+            if lasts.iter().any(|&word| word != 0) {
+                while walked < k - 1 && walk.push(walked, views[prefix[walked] as usize]) {
+                    walked += 1;
+                }
+                if walked == k - 1 {
+                    winner.offer_lasts(&walk, &views, &prefix, set_members(lasts));
+                }
+            }
+            match step_subset(&mut prefix, views.len() - 1) {
+                Some(pos) => (from, walked) = (pos, walked.min(pos)),
+                None => break,
             }
         }
-        Ok(best.and_then(|_| preview_at(scored, best_subset, size)))
+        Ok(winner.preview(scored, size))
     }
 }
 

@@ -1,6 +1,6 @@
-//! Shared machinery of the discovery algorithms: the Theorem-3 scoring walk
-//! for a fixed set of key attributes, preview assembly on top of it, and
-//! in-place k-subset stepping.
+//! Shared machinery of the discovery algorithms: the Theorem-3 scoring walk,
+//! which reuses the state of a shared prefix of key attributes, preview
+//! assembly on top of it, and in-place k-subset stepping.
 
 use entity_graph::TypeId;
 
@@ -56,64 +56,200 @@ pub(crate) fn replaces_incumbent(
         || (candidate_score == incumbent_score && candidate_subset < incumbent_subset)
 }
 
-/// Scores the best preview keyed on the `k` tables `table(0..k)` without
-/// building it (Alg. 1, lines 5–14; the `ComputePreview` routine of Alg. 3).
+/// The Theorem-3 scoring walk over a `k`-table subset, kept per depth so
+/// that subsets sharing a prefix share its work (Alg. 1, lines 5–14; the
+/// `ComputePreview` routine of Alg. 3).
 ///
 /// Following Theorem 3, every table takes its top candidate, and the `extras`
 /// remaining slots go to the globally best remaining candidates weighted by
 /// `S(τ) × Sτ(γ)`. The score is summed in exactly this order: the `k` top-1
 /// terms in table order, then the extras largest first, ties to the lower
-/// table position and then the lower candidate rank. The extras come from a
-/// k-way merge over the per-table candidate lists, which already are the
-/// sorted runs of that order: a list's weighted extras never increase because
-/// its candidates are sorted by descending score and its key score is ≥ 0
-/// (and rounding is monotone). So the merge yields the order a full sort of
-/// the pooled extras would, and the same score bits, without the pool.
+/// table position and then the lower candidate rank.
 ///
-/// On `Some`, `taken[pos]` is how many candidates table `pos` takes — always
-/// its top ones. `taken` is caller-owned scratch, so the walk allocates
-/// nothing once it has grown to `k`. Returns `None` if any table has no
-/// candidate (such a table would violate Def. 1).
-pub(crate) fn walk_subset<'a>(
-    k: usize,
-    table: impl Fn(usize) -> KeyView<'a>,
+/// For each depth `d`, the walk keeps the left-to-right sum of the first `d`
+/// top-1 terms and the best `extras` weighted extras of the first `d` tables
+/// in that order. Depth `d + 1`'s extras are a stable merge of depth `d`'s
+/// with table `d`'s candidate list, which already is a sorted run of the
+/// order: a list's weighted extras never increase because its candidates are
+/// sorted by descending score and its key score is ≥ 0 (and rounding is
+/// monotone). The merge takes the new table's entry only when it is strictly
+/// greater, so ties stay with the lower position, and it stops after
+/// `extras` entries, which are all the deeper depths can use. So a subset's
+/// score is depth `k`'s sum plus its extras in order: the additions a full
+/// sort of the pooled extras would make, with the same bits.
+///
+/// Subsets next to each other in lexicographic order share all but their
+/// last few tables. An engine that steps through them [`push`](Self::push)es
+/// only the depths from the lowest position a step changed, and scores each
+/// subset's last table straight off the depth before it
+/// ([`score_last`](Self::score_last)), so a subset costs `O(n − k + 1)`.
+/// Once grown, the walk allocates nothing.
+#[derive(Debug)]
+pub(crate) struct PrefixWalk {
+    /// `n − k`: the slots beyond each table's top candidate.
     extras: usize,
-    taken: &mut Vec<usize>,
-) -> Option<f64> {
-    taken.clear();
-    let mut score = 0.0;
-    for pos in 0..k {
-        let (key, cands) = table(pos);
-        debug_assert!(
-            key >= 0.0,
-            "the extras merge needs key scores >= 0, got {key}"
-        );
-        score += key * cands.first()?.score;
-        taken.push(1);
+    /// Per depth `d`: the top-1 terms of tables `0..d`, added left to right.
+    sums: Vec<f64>,
+    /// Per depth `d`: the best `extras` weighted extras of tables `0..d`, in
+    /// summation order, each with its table position.
+    lists: Vec<Vec<(f64, u32)>>,
+}
+
+impl PrefixWalk {
+    /// A walk over subsets of `k` tables with `extras` slots beyond their
+    /// top candidates.
+    pub(crate) fn new(k: usize, extras: usize) -> Self {
+        Self {
+            extras,
+            sums: vec![0.0; k + 1],
+            lists: vec![Vec::new(); k + 1],
+        }
     }
-    for _ in 0..extras {
-        let mut best: Option<(usize, f64)> = None;
-        for (pos, &next) in taken.iter().enumerate() {
-            let (key, cands) = table(pos);
-            if let Some(cand) = cands.get(next) {
-                let weighted = key * cand.score;
-                debug_assert!(!weighted.is_nan(), "scores must not be NaN");
-                if best.is_none_or(|(_, top)| weighted > top) {
-                    best = Some((pos, weighted));
+
+    /// Sets table `pos` of the subset to `table`: computes depth `pos + 1`
+    /// from depth `pos`, which must hold the subset's current tables
+    /// `0..pos`. Returns `false`, and leaves depth `pos + 1` as it was, if
+    /// the table has no candidate (such a table would violate Def. 1).
+    pub(crate) fn push(&mut self, pos: usize, table: KeyView<'_>) -> bool {
+        let Some(top) = table.1.first() else {
+            return false;
+        };
+        self.sums[pos + 1] = self.sums[pos] + table.0 * top.score;
+        let (done, rest) = self.lists.split_at_mut(pos + 1);
+        let next = &mut rest[0];
+        next.clear();
+        merge_extras(&done[pos], pos, table, self.extras, |entry| {
+            next.push(entry)
+        });
+        true
+    }
+
+    /// The score of the subset whose tables `0..pos` are the walk's depth
+    /// `pos` and whose last table, at `pos`, is `table`, without storing it
+    /// as a depth. Returns `None` if the table has no candidate.
+    #[inline]
+    pub(crate) fn score_last(&self, pos: usize, table: KeyView<'_>) -> Option<f64> {
+        let mut score = self.sums[pos] + table.0 * table.1.first()?.score;
+        merge_extras(
+            &self.lists[pos],
+            pos,
+            table,
+            self.extras,
+            |(weighted, _)| score += weighted,
+        );
+        Some(score)
+    }
+}
+
+/// Hands `emit` the first `limit` entries of the stable merge of `prev`,
+/// the best extras of the tables before `pos` in summation order, with the
+/// weighted extras `key × Sτ(γⱼ)` (`j ≥ 2`) of `table`, at position `pos`.
+/// The new table's entry goes first only when it is strictly greater.
+#[inline]
+fn merge_extras(
+    prev: &[(f64, u32)],
+    pos: usize,
+    (key, cands): KeyView<'_>,
+    limit: usize,
+    mut emit: impl FnMut((f64, u32)),
+) {
+    debug_assert!(
+        key >= 0.0,
+        "the extras merge needs key scores >= 0, got {key}"
+    );
+    let (mut old, mut new) = (0, 1);
+    for _ in 0..limit {
+        let fresh = cands.get(new).map(|cand| key * cand.score);
+        debug_assert!(fresh.is_none_or(|w| !w.is_nan()), "scores must not be NaN");
+        let entry = match (prev.get(old), fresh) {
+            (Some(&(kept, _)), Some(weighted)) if weighted > kept => {
+                new += 1;
+                (weighted, pos as u32)
+            }
+            (Some(&entry), _) => {
+                old += 1;
+                entry
+            }
+            (None, Some(weighted)) => {
+                new += 1;
+                (weighted, pos as u32)
+            }
+            (None, None) => break,
+        };
+        emit(entry);
+    }
+}
+
+/// The winner of an engine that scores subsets in lexicographic order: the
+/// first subset that attains the maximum score, as positions into
+/// [`ScoredSchema::eligible_types`].
+#[derive(Debug)]
+pub(crate) struct Winner {
+    score: Option<f64>,
+    subset: Vec<u32>,
+}
+
+impl Winner {
+    /// No winner yet among `k`-subsets.
+    pub(crate) fn new(k: usize) -> Self {
+        Self {
+            score: None,
+            subset: vec![0; k],
+        }
+    }
+
+    /// Scores the subsets `prefix + [j]` for each `j` of `lasts`, in the
+    /// order given, off `walk`'s depth `prefix.len()`, which must hold
+    /// `prefix`. A later subset must score strictly higher to win.
+    #[inline]
+    pub(crate) fn offer_lasts(
+        &mut self,
+        walk: &PrefixWalk,
+        views: &[KeyView<'_>],
+        prefix: &[u32],
+        lasts: impl IntoIterator<Item = u32>,
+    ) {
+        let pos = prefix.len();
+        for j in lasts {
+            if let Some(score) = walk.score_last(pos, views[j as usize]) {
+                if self.score.is_none_or(|top| score > top) {
+                    self.score = Some(score);
+                    self.subset[..pos].copy_from_slice(prefix);
+                    self.subset[pos] = j;
                 }
             }
         }
-        let Some((pos, weighted)) = best else { break };
-        taken[pos] += 1;
-        score += weighted;
     }
-    Some(score)
+
+    /// The winner's preview, or `None` if no subset was scored.
+    pub(crate) fn preview(&self, scored: &ScoredSchema, size: SizeConstraint) -> Option<Preview> {
+        self.score?;
+        preview_at(scored, self.subset.iter().map(|&i| i as usize), size)
+    }
+}
+
+/// Scores the `k` tables `table(0..k)` with `walk`, a walk over `k`-table
+/// subsets: the walk's `k`-step case, which pushes the first `k − 1` tables
+/// and scores the last off them. Returns `None` if any table has no
+/// candidate.
+pub(crate) fn walk_subset<'a>(
+    walk: &mut PrefixWalk,
+    table: impl Fn(usize) -> KeyView<'a>,
+) -> Option<f64> {
+    let Some(last) = walk.sums.len().checked_sub(2) else {
+        return Some(0.0); // No tables.
+    };
+    (0..last)
+        .all(|pos| walk.push(pos, table(pos)))
+        .then(|| walk.score_last(last, table(last)))
+        .flatten()
 }
 
 /// Assembles the best preview whose key attributes are exactly `subset`,
 /// with its score: the preview [`walk_subset`] scores, so both report the
-/// same score bits. Returns `None` if any key attribute has no candidate
-/// non-key attribute.
+/// same score bits. Each table takes its top candidate plus the extras the
+/// walk's last depth holds for its position. Returns `None` if any key
+/// attribute has no candidate non-key attribute.
 pub(crate) fn compute_preview(
     scored: &ScoredSchema,
     subset: &[TypeId],
@@ -121,14 +257,22 @@ pub(crate) fn compute_preview(
 ) -> Option<(Preview, f64)> {
     debug_assert_eq!(subset.len(), size.tables);
     let k = subset.len();
-    let mut taken = Vec::with_capacity(k);
+    let mut walk = PrefixWalk::new(k, size.non_keys.saturating_sub(k));
     let table = |pos: usize| {
         (
             scored.key_score(subset[pos]),
             scored.candidates(subset[pos]),
         )
     };
-    let score = walk_subset(k, table, size.non_keys.saturating_sub(k), &mut taken)?;
+    let score = walk_subset(&mut walk, table)?;
+    // Depth `k` holds the extras the score added, with their positions.
+    if let Some(last) = k.checked_sub(1) {
+        walk.push(last, table(last));
+    }
+    let mut taken = vec![1; k];
+    for &(_, pos) in &walk.lists[k] {
+        taken[pos as usize] += 1;
+    }
     let tables = subset
         .iter()
         .zip(&taken)
@@ -156,21 +300,19 @@ pub(crate) fn preview_at(
 }
 
 /// Steps `indices`, a strictly increasing subset of `0..n`, to its
-/// lexicographic successor in place (Alg. 1, line 4). Returns `false`, and
-/// leaves `indices` as it was, when it already is the last one.
-pub(crate) fn next_combination(indices: &mut [usize], n: usize) -> bool {
+/// lexicographic successor in place (Alg. 1, line 4), and returns the lowest
+/// position the step changed: the depth a [`PrefixWalk`] over the subset
+/// must recompute from. Returns `None`, and leaves `indices` as it was, when
+/// it already is the last one.
+pub(crate) fn step_subset(indices: &mut [u32], n: usize) -> Option<usize> {
     let k = indices.len();
     debug_assert!(k <= n);
-    for i in (0..k).rev() {
-        if indices[i] != i + n - k {
-            indices[i] += 1;
-            for j in i + 1..k {
-                indices[j] = indices[j - 1] + 1;
-            }
-            return true;
-        }
+    let pos = (0..k).rev().find(|&i| indices[i] as usize != i + n - k)?;
+    indices[pos] += 1;
+    for i in pos + 1..k {
+        indices[i] = indices[i - 1] + 1;
     }
-    false
+    Some(pos)
 }
 
 /// Number of `k`-subsets of an `n`-set, saturating at `u128::MAX`.
@@ -192,14 +334,14 @@ mod tests {
     use crate::scoring::{KeyScoring, NonKeyScoring, ScoringConfig};
     use entity_graph::fixtures::{self, types};
 
-    /// Every `k`-subset of `0..n` in the order [`next_combination`] visits.
-    fn combinations(n: usize, k: usize) -> Vec<Vec<usize>> {
+    /// Every `k`-subset of `0..n` in the order [`step_subset`] visits.
+    fn combinations(n: usize, k: usize) -> Vec<Vec<u32>> {
         if k > n {
             return Vec::new();
         }
-        let mut indices: Vec<usize> = (0..k).collect();
+        let mut indices: Vec<u32> = (0..k as u32).collect();
         let mut all = vec![indices.clone()];
-        while next_combination(&mut indices, n) {
+        while step_subset(&mut indices, n).is_some() {
             all.push(indices.clone());
         }
         all
@@ -218,13 +360,15 @@ mod tests {
                 vec![2, 3],
             ]
         );
-        // Stepping from a subset that does not start at the first one.
+        // Stepping from a subset that does not start at the first one; each
+        // step reports the lowest position it changed.
         let mut subset = [3, 4];
-        assert!(next_combination(&mut subset, 6));
+        assert_eq!(step_subset(&mut subset, 6), Some(1));
         assert_eq!(subset, [3, 5]);
-        assert!(next_combination(&mut subset, 6));
+        assert_eq!(step_subset(&mut subset, 6), Some(0));
         assert_eq!(subset, [4, 5]);
-        assert!(!next_combination(&mut subset, 6));
+        assert_eq!(step_subset(&mut subset, 6), None);
+        assert_eq!(subset, [4, 5]);
     }
 
     #[test]
@@ -246,8 +390,13 @@ mod tests {
 
     /// The assembly the walk replaced: pool every extra of the subset, sort
     /// the pool by weighted score (ties by table position, then candidate
-    /// rank), and add the top ones after the top-1 terms.
-    fn pool_sort_score(scored: &ScoredSchema, subset: &[TypeId], extras: usize) -> Option<f64> {
+    /// rank), and add the top ones after the top-1 terms. Returns the score
+    /// and how many candidates each table takes.
+    fn pool_sort(
+        scored: &ScoredSchema,
+        subset: &[TypeId],
+        extras: usize,
+    ) -> Option<(f64, Vec<usize>)> {
         let mut score = 0.0;
         for &ty in subset {
             score += scored.key_score(ty) * scored.candidates(ty).first()?.score;
@@ -265,10 +414,12 @@ mod tests {
                 .then_with(|| a.1.cmp(&b.1))
                 .then_with(|| a.2.cmp(&b.2))
         });
-        for &(weighted, _, _) in pool.iter().take(extras) {
+        let mut taken = vec![1; subset.len()];
+        for &(weighted, pos, _) in pool.iter().take(extras) {
             score += weighted;
+            taken[pos] += 1;
         }
-        Some(score)
+        Some((score, taken))
     }
 
     #[test]
@@ -280,36 +431,67 @@ mod tests {
         ] {
             let scored = ScoredSchema::build(&g, &config).unwrap();
             let types: Vec<TypeId> = scored.schema().types().collect();
-            let mut taken = Vec::new();
+            let view = |i: u32| {
+                let ty = types[i as usize];
+                (scored.key_score(ty), scored.candidates(ty))
+            };
             for k in 1..=types.len() {
                 for n in k..=k + 6 {
                     let size = SizeConstraint {
                         tables: k,
                         non_keys: n,
                     };
-                    for combo in combinations(types.len(), k) {
-                        let subset: Vec<TypeId> = combo.iter().map(|&i| types[i]).collect();
-                        let table = |pos: usize| {
-                            (
-                                scored.key_score(subset[pos]),
-                                scored.candidates(subset[pos]),
-                            )
-                        };
-                        let walked = walk_subset(k, table, n - k, &mut taken);
+                    // `stepped` goes through every k-subset in lexicographic
+                    // order and recomputes only the depths from the lowest
+                    // position each step changed; `whole` walks every subset
+                    // from scratch.
+                    let mut stepped = PrefixWalk::new(k, n - k);
+                    let mut whole = PrefixWalk::new(k, n - k);
+                    let mut combo: Vec<u32> = (0..k as u32).collect();
+                    // Depths `0..=depth` of `stepped` hold `combo`'s tables.
+                    let (mut depth, mut from) = (0, 0);
+                    loop {
+                        depth = depth.min(from);
+                        while depth < k - 1 && stepped.push(depth, view(combo[depth])) {
+                            depth += 1;
+                        }
+                        let reused = (depth == k - 1)
+                            .then(|| stepped.score_last(k - 1, view(combo[k - 1])))
+                            .flatten();
+                        let subset: Vec<TypeId> =
+                            combo.iter().map(|&i| types[i as usize]).collect();
+                        let walked = walk_subset(&mut whole, |pos| view(combo[pos]));
                         let assembled = compute_preview(&scored, &subset, size);
                         assert_eq!(
                             walked.map(f64::to_bits),
                             assembled.as_ref().map(|(_, score)| score.to_bits()),
                             "{subset:?} n={n}"
                         );
+                        let pooled = pool_sort(&scored, &subset, n - k);
                         assert_eq!(
                             walked.map(f64::to_bits),
-                            pool_sort_score(&scored, &subset, n - k).map(f64::to_bits),
+                            pooled.as_ref().map(|(score, _)| score.to_bits()),
                             "{subset:?} n={n}"
                         );
-                        if let Some((preview, score)) = assembled {
+                        assert_eq!(
+                            reused.map(f64::to_bits),
+                            walked.map(f64::to_bits),
+                            "{subset:?} n={n}"
+                        );
+                        if let (Some((preview, score)), Some((_, taken))) = (assembled, pooled) {
                             assert_eq!(preview.non_key_count(), taken.iter().sum::<usize>());
                             assert!((scored.preview_score(&preview) - score).abs() < 1e-9);
+                            // Tied extras go to the lower table position.
+                            let per_table: Vec<usize> = preview
+                                .tables()
+                                .iter()
+                                .map(|t| t.non_keys().len())
+                                .collect();
+                            assert_eq!(per_table, taken, "{subset:?} n={n}");
+                        }
+                        match step_subset(&mut combo, types.len()) {
+                            Some(pos) => from = pos,
+                            None => break,
                         }
                     }
                 }

@@ -17,23 +17,35 @@
 //! # Score-first evaluation
 //!
 //! Brute force, Apriori and best-first evaluate many key subsets and keep
-//! one. They score each subset without building its preview: a single walk
-//! that allocates nothing sums the Theorem-3 score — the `k` top-1 terms in
-//! subset order, then the best `n − k` extras, taken by a k-way merge over
-//! the per-type candidate lists. The engines track only
-//! `(score, subset index)` under their tie-breaks (earliest strict maximum
-//! in lexicographic order) and assemble the winner's preview once, at the
-//! end, with [`best_preview_for_subset`]'s assembly, which runs on the same
-//! walk and so reports the same score bits.
+//! one. They score each subset without building its preview, with one
+//! scoring walk that sums the Theorem-3 score — the `k` top-1 terms in
+//! subset order, then the best `n − k` extras, largest first. The engines
+//! track only `(score, subset index)` under their tie-breaks (earliest
+//! strict maximum in lexicographic order) and assemble the winner's preview
+//! once, at the end, with [`best_preview_for_subset`]'s assembly, which runs
+//! on the same walk and so reports the same score bits.
 //!
-//! The merge relies on one invariant: every candidate list is sorted by
-//! descending score and every key score is ≥ 0. Each type's weighted extras
-//! `S(τ)·Sτ(γⱼ)` then form a descending run (rounding is monotone), and
-//! merging the runs — ties to the lower table position, then the lower
-//! candidate rank — reproduces exactly the order of sorting the whole extras
-//! pool, so the summed score bits match that sort's. The walk
+//! The walk keeps its state per depth `d`: the left-to-right sum of the
+//! first `d` top-1 terms, and the best `n − k` weighted extras of the first
+//! `d` tables in summation order, a stable merge of depth `d − 1`'s extras
+//! with table `d`'s candidate list that takes the new entry only when it is
+//! strictly greater. The merge relies on one invariant: every candidate list
+//! is sorted by descending score and every key score is ≥ 0. Each type's
+//! weighted extras `S(τ)·Sτ(γⱼ)` then form a descending run (rounding is
+//! monotone), and merging the runs — ties to the lower table position, then
+//! the lower candidate rank — reproduces exactly the order of sorting the
+//! whole extras pool, so the summed score bits match that sort's. The walk
 //! `debug_assert!`s non-negative key scores, as [`bound`] relies on the same
 //! fact.
+//!
+//! Subsets next to each other in lexicographic order share all but their
+//! last few elements. Brute force steps the first `k − 1` and runs the last
+//! one as an inner loop; Apriori scores its last level group by group as its
+//! join produces it. Both recompute the walk's depths only from the lowest
+//! position that changed and score each subset off the depth before its
+//! last element, so a subset costs `O(n − k + 1)` instead of `O(k·n)`.
+//! Best-first's complete subsets are the children of one node, so it walks
+//! the node's prefix once and scores each child off it the same way.
 
 pub(crate) mod common;
 

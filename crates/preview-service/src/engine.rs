@@ -57,12 +57,6 @@ impl ServiceConfig {
             ..Self::default()
         }
     }
-
-    /// Disables the result cache.
-    pub fn without_cache(mut self) -> Self {
-        self.cache_capacity = 0;
-        self
-    }
 }
 
 /// One queued unit of work.
@@ -409,11 +403,6 @@ impl PreviewService {
             workers,
             shutting_down: AtomicBool::new(false),
         }
-    }
-
-    /// Starts a service with the default configuration over `registry`.
-    pub fn with_defaults(registry: Arc<GraphRegistry>) -> Self {
-        Self::start(ServiceConfig::default(), registry)
     }
 
     /// The registry this service answers from.
